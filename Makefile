@@ -24,8 +24,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the scheduler hot-path benchmarks and writes BENCH_core.json
-# (name, ns/op, allocs/op per benchmark) for machine consumption, and
+# bench runs the scheduler hot-path benchmarks and the Figure 3 EDF-FF
+# analysis rows and writes BENCH_core.json (name, ns/op, allocs/op per
+# benchmark) for machine consumption, and
 # appends a dated entry to BENCH_core.trajectory.json. Refuses a dirty
 # tree (BENCH_ALLOW_DIRTY=1 overrides).
 bench:

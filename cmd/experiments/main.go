@@ -19,6 +19,8 @@
 //	            trace region per figure (inspect with `go tool trace F`)
 //	-metrics    print a per-figure summary (wall time, goroutine peak,
 //	            allocation delta) to stderr after each figure
+//	-cpuprofile F  write a CPU profile of the whole run to F (inspect
+//	            with `go tool pprof F`)
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	rtrace "runtime/trace"
 	"time"
 
@@ -45,7 +48,17 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print per-figure wall-time and allocation summaries to stderr")
 	shards := flag.Int("shards", 0, "fig2/phases: ready-queue shards per scheduler (0 or 1 = single queue; schedules are identical, only the measured cost moves)")
 	every := flag.Int64("every", 0, "phases: profile one engine step in every N (0 = default)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			os.Exit(1)
+		}
+		defer stop()
+	}
 
 	if *gotrace != "" {
 		f, err := os.Create(*gotrace)
@@ -211,4 +224,23 @@ func main() {
 		pc.Shards = *shards
 		experiments.RenderPhases(os.Stdout, pc, experiments.Phases(pc))
 	})
+}
+
+// startCPUProfile starts a CPU profile written to path; the returned stop
+// flushes and closes it.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+		}
+	}, nil
 }

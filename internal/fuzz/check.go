@@ -235,8 +235,11 @@ func checkPartition(c Case) Outcome {
 		a := partition.Pack(c.Set, 0, h, partition.EDFTest)
 		placed := 0
 		for _, proc := range a.Processors {
+			// Replay each placement against Σu ≤ 1 recomputed from the
+			// processor's earlier tasks, independently of the bin under
+			// test.
 			for i, t := range proc {
-				if !partition.EDFTest(proc[:i], t) {
+				if proc[:i].TotalWeight().Add(t.Weight()).CmpInt(1) > 0 {
 					v.addf("partition: %v placed %v on a processor the acceptance test rejects", h, t)
 				}
 				placed++

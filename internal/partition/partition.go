@@ -6,10 +6,10 @@
 // every heuristic, the Lopez et al. bound parameterized by the maximum
 // task utilization, and the Oh–Baker RM-FF bound).
 //
-// The acceptance test is pluggable, so the same heuristics serve EDF
-// partitioning (utilization ≤ 1 per processor, exact for implicit
-// deadlines), RM partitioning (Liu–Layland or exact response-time
-// analysis), and the overhead-inflated tests of Section 4.
+// The acceptance test is pluggable as a stateful per-processor Bin, so the
+// same heuristics serve EDF partitioning (utilization ≤ 1 per processor,
+// exact for implicit deadlines), RM partitioning (Liu–Layland or exact
+// response-time analysis), and the overhead-inflated tests of Section 4.
 package partition
 
 import (
@@ -20,29 +20,83 @@ import (
 	"pfair/internal/task"
 )
 
-// AcceptanceTest reports whether candidate can be added to a processor that
-// already holds assigned, under the per-processor scheduler's
-// schedulability test.
-type AcceptanceTest func(assigned task.Set, candidate *task.Task) bool
+// Bin is one processor's state under a per-processor schedulability
+// test. Pack and the exact packer place each task by asking candidate
+// bins whether it Fits and committing it to the chosen one with Add, so
+// a test that keeps running state (a utilization sum, a largest cache
+// delay) answers Fits without re-examining the tasks already placed.
+type Bin interface {
+	// Fits reports whether t can join the bin's tasks under the test.
+	Fits(t *task.Task) bool
+	// Add commits t to the bin; the caller has checked Fits.
+	Add(t *task.Task)
+	// Undo removes the task the last not-yet-undone Add committed,
+	// restoring the bin's state exactly as it was before that Add. The
+	// exact packer's backtracking undoes in LIFO order.
+	Undo()
+	// Spare returns the bin's remaining capacity 1 − Σu under the
+	// test's own utilization measure, kept incrementally; best- and
+	// worst-fit rank bins by it. The caller must not modify it.
+	Spare() *rational.Acc
+}
+
+// AcceptanceTest constructs an empty bin under a per-processor
+// schedulability test. Pack and the exact packer call it once per
+// processor they open.
+type AcceptanceTest func() Bin
+
+// load is the state every bin in this package keeps: its tasks in
+// placement order and the spare base utilization 1 − Σ e/p.
+type load struct {
+	tasks task.Set
+	spare *rational.Acc
+}
+
+func newLoad() load { return load{spare: rational.NewAcc().SetInt(1)} }
+
+func (l *load) Add(t *task.Task) {
+	l.tasks = append(l.tasks, t)
+	l.spare.Sub(t.Weight())
+}
+
+func (l *load) Undo() {
+	t := l.tasks[len(l.tasks)-1]
+	l.tasks = l.tasks[:len(l.tasks)-1]
+	l.spare.Add(t.Weight())
+}
+
+func (l *load) Spare() *rational.Acc { return l.spare }
+
+// edfBin keeps the running exact Σu, so Fits is one compare.
+type edfBin struct{ load }
+
+func (b *edfBin) Fits(t *task.Task) bool { return b.spare.Cmp(t.Weight()) >= 0 }
 
 // EDFTest is the exact uniprocessor EDF test for implicit-deadline
 // periodic tasks: total utilization at most one.
-func EDFTest(assigned task.Set, candidate *task.Task) bool {
-	total := assigned.TotalWeight().Add(candidate.Weight())
-	return total.CmpInt(1) <= 0
+func EDFTest() Bin { return &edfBin{newLoad()} }
+
+// rmBin re-runs an RM test over the bin's tasks plus the candidate; RM
+// schedulability is not a sum, so there is no running state to keep
+// beyond the task list.
+type rmBin struct {
+	load
+	test func(task.Set) bool
+}
+
+func (b *rmBin) Fits(t *task.Task) bool {
+	// The full slice expression makes append copy, leaving the bin's
+	// tasks untouched.
+	return b.test(append(b.tasks[:len(b.tasks):len(b.tasks)], t))
 }
 
 // RMLLTest is the Liu–Layland sufficient test for RM.
-func RMLLTest(assigned task.Set, candidate *task.Task) bool {
-	return rm.SchedulableLL(append(assigned.Clone(), candidate))
-}
+func RMLLTest() Bin { return &rmBin{newLoad(), rm.SchedulableLL} }
 
 // RMExactTest is the exact response-time test for RM ([25]); using it makes
 // partitioning a variable-sized bin-packing problem, the complication
 // Section 3 notes EDF avoids.
-func RMExactTest(assigned task.Set, candidate *task.Task) bool {
-	return rm.Schedulable(append(assigned.Clone(), candidate))
-}
+func RMExactTest() Bin { return &rmBin{newLoad(), rm.Schedulable} }
 
 // Heuristic selects the processor-choice rule.
 type Heuristic int
@@ -81,6 +135,9 @@ type Assignment struct {
 	// Processors holds the tasks bound to each processor, in placement
 	// order.
 	Processors []task.Set
+	// Bins holds each processor's acceptance-test state, parallel to
+	// Processors.
+	Bins []Bin
 	// Unplaced lists tasks no processor accepted (empty on success).
 	Unplaced task.Set
 }
@@ -99,77 +156,67 @@ func (a *Assignment) NumUsed() int {
 	return n
 }
 
-// spare returns the spare utilization 1 − Σu of a processor as an exact
-// arbitrary-precision rational. It is the capacity measure used by best-
-// and worst-fit; for non-utilization acceptance tests it is a standard
-// proxy. Acc keeps the value exact even when the assigned periods are
-// co-prime enough that the sum's denominator overflows int64.
-func spare(assigned task.Set) *rational.Acc {
-	sp := rational.NewAcc().SetInt(1)
-	for _, t := range assigned {
-		sp.Sub(t.Weight())
-	}
-	return sp
-}
-
 // Pack assigns tasks to at most m processors (m ≤ 0 means unbounded,
 // opening processors on demand — the mode used to find the minimum
 // processor count). Tasks are considered in the order given; pre-sort with
 // task.Set.SortByUtilizationDecreasing for FFD/BFD or
 // SortByPeriodDecreasing for the Section 4 overhead-aware placement.
-func Pack(set task.Set, m int, h Heuristic, accept AcceptanceTest) *Assignment {
+func Pack(set task.Set, m int, h Heuristic, newBin AcceptanceTest) *Assignment {
 	a := &Assignment{}
 	if m > 0 {
 		a.Processors = make([]task.Set, m)
+		a.Bins = make([]Bin, m)
+		for i := range a.Bins {
+			a.Bins[i] = newBin()
+		}
 	}
 	last := 0 // next-fit cursor
 	for _, t := range set {
 		idx := -1
 		switch h {
 		case FirstFit:
-			for i := range a.Processors {
-				if accept(a.Processors[i], t) {
+			for i, b := range a.Bins {
+				if b.Fits(t) {
 					idx = i
 					break
 				}
 			}
 		case NextFit:
-			for i := last; i < len(a.Processors); i++ {
-				if accept(a.Processors[i], t) {
+			for i := last; i < len(a.Bins); i++ {
+				if a.Bins[i].Fits(t) {
 					idx = i
 					break
 				}
 			}
 		case BestFit, WorstFit:
-			var bestSpare *rational.Acc
-			for i := range a.Processors {
-				if !accept(a.Processors[i], t) {
+			// Every candidate loses the same u(t), so ranking the bins'
+			// spare capacity before the addition ranks it after.
+			for i, b := range a.Bins {
+				if !b.Fits(t) {
 					continue
 				}
-				sp := spare(a.Processors[i]).Sub(t.Weight())
 				better := idx < 0 ||
-					(h == BestFit && sp.CmpAcc(bestSpare) < 0) ||
-					(h == WorstFit && bestSpare.CmpAcc(sp) < 0)
+					(h == BestFit && b.Spare().CmpAcc(a.Bins[idx].Spare()) < 0) ||
+					(h == WorstFit && a.Bins[idx].Spare().CmpAcc(b.Spare()) < 0)
 				if better {
-					idx, bestSpare = i, sp
+					idx = i
 				}
 			}
 		}
 		if idx < 0 && m <= 0 {
-			// Open a new processor.
-			a.Processors = append(a.Processors, nil)
-			idx = len(a.Processors) - 1
-			if !accept(a.Processors[idx], t) {
-				// The task does not fit even on an empty processor
-				// (possible under inflated or RM tests).
-				a.Processors = a.Processors[:idx]
-				idx = -1
+			// Open a new processor, unless the task does not fit even an
+			// empty one (possible under inflated or RM tests).
+			if b := newBin(); b.Fits(t) {
+				a.Bins = append(a.Bins, b)
+				a.Processors = append(a.Processors, nil)
+				idx = len(a.Bins) - 1
 			}
 		}
 		if idx < 0 {
 			a.Unplaced = append(a.Unplaced, t)
 			continue
 		}
+		a.Bins[idx].Add(t)
 		a.Processors[idx] = append(a.Processors[idx], t)
 		if h == NextFit {
 			last = idx
@@ -181,8 +228,8 @@ func Pack(set task.Set, m int, h Heuristic, accept AcceptanceTest) *Assignment {
 // MinProcessors returns the number of processors the heuristic needs to
 // place every task (tasks considered in the given order), or ok=false if
 // some task fits on no processor at all.
-func MinProcessors(set task.Set, h Heuristic, accept AcceptanceTest) (int, bool) {
-	a := Pack(set, 0, h, accept)
+func MinProcessors(set task.Set, h Heuristic, newBin AcceptanceTest) (int, bool) {
+	a := Pack(set, 0, h, newBin)
 	if !a.OK() {
 		return 0, false
 	}
@@ -195,10 +242,10 @@ func MinProcessors(set task.Set, h Heuristic, accept AcceptanceTest) (int, bool)
 // the heuristics sub-optimal in tests. Tasks are pre-sorted by decreasing
 // utilization, and symmetry is broken by allowing each task into at most
 // one currently-empty processor.
-func MinProcessorsExact(set task.Set, accept AcceptanceTest) (int, bool) {
+func MinProcessorsExact(set task.Set, newBin AcceptanceTest) (int, bool) {
 	sorted := set.SortByUtilizationDecreasing()
 	// Upper bound from FFD; lower bound from total utilization.
-	best, ok := MinProcessors(sorted, FirstFit, accept)
+	best, ok := MinProcessors(sorted, FirstFit, newBin)
 	if !ok {
 		return 0, false
 	}
@@ -206,34 +253,44 @@ func MinProcessorsExact(set task.Set, accept AcceptanceTest) (int, bool) {
 	if best == lower {
 		return best, true
 	}
-	procs := make([]task.Set, 0, best)
+	// pool[:open] are the open bins; a bin closed by backtracking is
+	// empty again and is reused when the search reopens one.
+	var pool []Bin
+	open := 0
 	var dfs func(i int) bool
 	found := best
 	dfs = func(i int) bool {
-		if len(procs) >= found {
+		if open >= found {
 			return false // already no better than the best known
 		}
 		if i == len(sorted) {
-			found = len(procs)
+			found = open
 			return found == lower
 		}
 		t := sorted[i]
-		for k := range procs {
-			if accept(procs[k], t) {
-				procs[k] = append(procs[k], t)
+		for _, b := range pool[:open] {
+			if b.Fits(t) {
+				b.Add(t)
 				if dfs(i + 1) {
 					return true
 				}
-				procs[k] = procs[k][:len(procs[k])-1]
+				b.Undo()
 			}
 		}
 		// Symmetry breaking: opening any empty processor is equivalent.
-		if len(procs)+1 < found && accept(nil, t) {
-			procs = append(procs, task.Set{t})
-			if dfs(i + 1) {
-				return true
+		if open+1 < found {
+			if open == len(pool) {
+				pool = append(pool, newBin())
 			}
-			procs = procs[:len(procs)-1]
+			if b := pool[open]; b.Fits(t) {
+				b.Add(t)
+				open++
+				if dfs(i + 1) {
+					return true
+				}
+				open--
+				b.Undo()
+			}
 		}
 		return false
 	}

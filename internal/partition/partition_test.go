@@ -266,10 +266,18 @@ func TestNextFitNeverLooksBack(t *testing.T) {
 	}
 }
 
+// neverBin accepts nothing.
+type neverBin struct{}
+
+func (neverBin) Fits(*task.Task) bool { return false }
+func (neverBin) Add(*task.Task)       {}
+func (neverBin) Undo()                {}
+func (neverBin) Spare() *rational.Acc { return rational.NewAcc() }
+
 // TestMinProcessorsUnplaceable: under the inflated/RM acceptance tests a
 // task can fit on no processor at all.
 func TestMinProcessorsUnplaceable(t *testing.T) {
-	never := func(task.Set, *task.Task) bool { return false }
+	never := func() Bin { return neverBin{} }
 	if _, ok := MinProcessors(task.Set{task.MustNew("a", 1, 2)}, FirstFit, never); ok {
 		t.Error("unplaceable task reported ok")
 	}
@@ -310,5 +318,89 @@ func TestExactImprovesOnFFD(t *testing.T) {
 	}
 	if ffd == exact {
 		t.Skipf("FFD matched the optimum on this instance (ffd=%d)", ffd)
+	}
+}
+
+// TestBinUndoRestoresState: every bin in the package returns, Add by
+// Undo in LIFO order, to exactly the state it had — the contract the
+// exact packer's backtracking relies on.
+func TestBinUndoRestoresState(t *testing.T) {
+	set := task.Set{
+		task.MustNew("a", 1, 4), task.MustNew("b", 1, 5), task.MustNew("c", 1, 10),
+		task.MustNew("d", 1, 20),
+	}
+	probe := task.MustNew("p", 1, 5)
+	for name, newBin := range map[string]AcceptanceTest{"edf": EDFTest, "rm-ll": RMLLTest, "rm-exact": RMExactTest} {
+		b := newBin()
+		var spares []string
+		var fits []bool
+		for _, tk := range set {
+			spares = append(spares, b.Spare().String())
+			fits = append(fits, b.Fits(probe))
+			if !b.Fits(tk) {
+				t.Fatalf("%s: %v does not fit", name, tk)
+			}
+			b.Add(tk)
+		}
+		if got, want := b.Spare().String(), "2/5"; got != want {
+			t.Errorf("%s: spare after all adds = %s, want %s", name, got, want)
+		}
+		for i := len(set) - 1; i >= 0; i-- {
+			b.Undo()
+			if got := b.Spare().String(); got != spares[i] {
+				t.Errorf("%s: spare after undoing %v = %s, want %s", name, set[i], got, spares[i])
+			}
+			if got := b.Fits(probe); got != fits[i] {
+				t.Errorf("%s: Fits(probe) after undoing %v = %v, want %v", name, set[i], got, fits[i])
+			}
+		}
+	}
+}
+
+// TestEDFBinBoundary: the EDF bin admits a candidate that brings Σu to
+// exactly one and rejects one that exceeds it by the smallest amount.
+func TestEDFBinBoundary(t *testing.T) {
+	b := EDFTest()
+	b.Add(task.MustNew("a", 2, 3))
+	if !b.Fits(task.MustNew("b", 1, 3)) {
+		t.Error("Σu = 1 rejected")
+	}
+	if b.Fits(task.MustNew("c", 334, 1000)) {
+		t.Error("Σu = 1 + 1/3000 accepted")
+	}
+}
+
+// TestBestWorstFitRankBySpare: best-fit sends a task to the fullest bin
+// that fits it and worst-fit to the emptiest.
+func TestBestWorstFitRankBySpare(t *testing.T) {
+	set := task.Set{
+		task.MustNew("a", 5, 10), task.MustNew("b", 7, 10), task.MustNew("c", 3, 10),
+		task.MustNew("x", 2, 10),
+	}
+	bf := Pack(set, 3, BestFit, EDFTest)
+	wf := Pack(set, 3, WorstFit, EDFTest)
+	where := func(a *Assignment, name string) int {
+		for i, p := range a.Processors {
+			for _, tk := range p {
+				if tk.Name == name {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	// Best-fit: a (0.5) → bin 0; b (0.7) does not fit bin 0 → bin 1;
+	// c (0.3) fits 0 (spare 0.5) and 1 (spare 0.3) → bin 1; x (0.2)
+	// fits bin 0 only → bin 0.
+	if got := where(bf, "c"); got != 1 {
+		t.Errorf("best-fit put c on %d, want 1", got)
+	}
+	// Worst-fit: a → bin 0 (all empty, first wins ties); b → bin 1;
+	// c → bin 2 (spare 1); x → bin 2 (spare 0.7).
+	if got := where(wf, "c"); got != 2 {
+		t.Errorf("worst-fit put c on %d, want 2", got)
+	}
+	if got := where(wf, "x"); got != 2 {
+		t.Errorf("worst-fit put x on %d, want 2", got)
 	}
 }

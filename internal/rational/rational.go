@@ -20,6 +20,7 @@ package rational
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -78,18 +79,32 @@ func (r Rat) normalized() Rat {
 
 // Add returns r + s.
 func (r Rat) Add(s Rat) Rat {
+	if sum, ok := addSmall(r, s); ok {
+		return sum
+	}
+	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Add)
+}
+
+// addSmall returns r + s computed over the lcm denominator in int64, or
+// ok=false when an intermediate overflows. A MinInt64 numerator, whose
+// negation overflows, counts as overflow in the operands and the result.
+func addSmall(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
-	// r.num/r.den + s.num/s.den over the lcm denominator.
+	if r.num == math.MinInt64 || s.num == math.MinInt64 {
+		return Rat{}, false
+	}
 	g := gcd(r.den, s.den)
 	ld, ok1 := mulOK(r.den/g, s.den)
 	a, ok2 := mulOK(r.num, s.den/g)
 	b, ok3 := mulOK(s.num, r.den/g)
-	if ok1 && ok2 && ok3 {
-		if sum, ok := addOK(a, b); ok {
-			return New(sum, ld)
-		}
+	if !ok1 || !ok2 || !ok3 {
+		return Rat{}, false
 	}
-	return bigFallback(r, s, (*big.Rat).Add)
+	sum, ok := addOK(a, b)
+	if !ok || sum == math.MinInt64 {
+		return Rat{}, false
+	}
+	return New(sum, ld), true
 }
 
 // Sub returns r − s.
@@ -100,16 +115,28 @@ func (r Rat) Neg() Rat { r = r.normalized(); return Rat{-r.num, r.den} }
 
 // Mul returns r · s.
 func (r Rat) Mul(s Rat) Rat {
+	if p, ok := mulSmall(r, s); ok {
+		return p
+	}
+	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Mul)
+}
+
+// mulSmall returns r · s in int64, or ok=false when an intermediate
+// overflows, with addSmall's MinInt64 rule.
+func mulSmall(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
+	if r.num == math.MinInt64 || s.num == math.MinInt64 {
+		return Rat{}, false
+	}
 	// Cross-reduce before multiplying to keep intermediates small.
 	g1 := gcd(abs(r.num), s.den)
 	g2 := gcd(abs(s.num), r.den)
 	num, ok1 := mulOK(r.num/g1, s.num/g2)
 	den, ok2 := mulOK(r.den/g2, s.den/g1)
-	if ok1 && ok2 {
-		return New(num, den)
+	if !ok1 || !ok2 || num == math.MinInt64 {
+		return Rat{}, false
 	}
-	return bigFallback(r, s, (*big.Rat).Mul)
+	return New(num, den), true
 }
 
 // MulInt returns r · n.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench.sh — run a scheduler benchmark set and emit a machine-readable
 # JSON baseline, so CI (or a reviewer) can diff performance across
-# commits. The default set is the hot-path benchmarks (BENCH_core.json);
+# commits. The default set is the hot-path benchmarks plus the Figure 3
+# EDF-FF analysis rows (BENCH_core.json);
 # pass a different output and pattern for other sets, e.g. the scale run:
 #
 #	scripts/bench.sh BENCH_scale.json 'BenchmarkScale' 500x 3
@@ -40,7 +41,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_core.json}"
-pattern="${2:-BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows}"
+pattern="${2:-BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows|BenchmarkFig3EDFFF}"
 benchtime="${3:-0.2s}"
 count="${4:-1}"
 traj="${out%.json}.trajectory.json"

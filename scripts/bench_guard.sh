@@ -31,13 +31,18 @@
 #
 #	BENCH_GUARD_THRESHOLD=100 scripts/bench_guard.sh BENCH_scale.json 'BenchmarkScale' 500x 4
 #
+# The default set (no bench-regex given) is two groups with their own
+# fixed iteration counts: the ~100 ns slot benchmarks at 100000x, and the
+# Figure 3 EDF-FF analysis rows, whose N=500 sub-benchmark takes
+# milliseconds per op, at 200x.
+#
 # Usage: scripts/bench_guard.sh [baseline.json] [bench-regex] [benchtime] [count]
 #   BENCH_GUARD_THRESHOLD  percent regression tolerated (default 30)
 set -eu
 
 cd "$(dirname "$0")/.."
 base="${1:-BENCH_core.json}"
-pattern="${2:-BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows}"
+pattern="${2:-}"
 benchtime="${3:-100000x}"
 count="${4:-3}"
 thresh="${BENCH_GUARD_THRESHOLD:-30}"
@@ -50,8 +55,15 @@ fi
 raw="$(mktemp -p . bench_guard.XXXXXX.txt)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "$pattern" \
-	-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+if [ -n "$pattern" ]; then
+	go test -run '^$' -bench "$pattern" \
+		-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+else
+	go test -run '^$' -bench 'BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows' \
+		-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+	go test -run '^$' -bench 'BenchmarkFig3EDFFF' \
+		-benchmem -benchtime=200x -count="$count" . | tee -a "$raw"
+fi
 
 awk -v thresh="$thresh" '
 # Pass 1: the baseline JSON, one benchmark per line.
