@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"pfair/internal/core"
+	"pfair/internal/obs"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
 )
@@ -51,6 +52,44 @@ func BenchmarkScalePD2(b *testing.B) {
 					b.Fatalf("join %s: %v", t.Name, err)
 				}
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+		})
+	}
+}
+
+// BenchmarkScalePD2Observed is the observability-at-scale gate: PD²'s
+// per-slot cost with 2^18 tasks on 64 processors and an
+// obs.SchedulerMetrics block attached, beside a detached twin of the same
+// size. Observation must cost in proportion to the events it records, so
+// the attached row stays within a small factor of the detached one; a
+// per-slot pass over every task would put it hundreds of times above.
+// Both rows step past slot 0, which releases every task's first subtask
+// at once, before the timer starts, so they measure the steady state.
+func BenchmarkScalePD2Observed(b *testing.B) {
+	const m = 64
+	const n = 1 << 18
+	for _, attached := range []bool{false, true} {
+		mode := "off"
+		if attached {
+			mode = "on"
+		}
+		b.Run(fmt.Sprintf("M=%d,tasks=%d,metrics=%s", m, n, mode), func(b *testing.B) {
+			set := scaleSet("T", n, scalePeriods)
+			s := core.NewScheduler(m, core.PD2, core.Options{})
+			if attached {
+				s.Observe(nil, obs.NewSchedulerMetrics(nil))
+			}
+			for _, t := range set {
+				if err := s.Join(t); err != nil {
+					b.Fatalf("join %s: %v", t.Name, err)
+				}
+			}
+			s.Step()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

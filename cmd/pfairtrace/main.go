@@ -20,6 +20,9 @@
 // per-slot schedule and say when it cannot: droppedEvents > 0 means the
 // ring wrapped and the report describes only the retained suffix — the
 // report says so instead of passing truncation off as the whole run.
+// The exporter names only the tasks its retained events mention, so the
+// per-task table of a wrapped trace lists the tasks of that suffix, not
+// every task the run ever admitted.
 package main
 
 import (
@@ -217,8 +220,15 @@ func parseTrace(r io.Reader) (*traceData, error) {
 				continue
 			}
 			td.events = append(td.events, ev)
-			if slot+1 > td.horizon {
-				td.horizon = slot + 1
+			end := slot + 1
+			if ev.Kind == obs.EvLagExtremum {
+				// An extremum is folded at a boundary of its slot, not
+				// during it: the end-of-run fold is stamped with the
+				// horizon itself.
+				end = slot
+			}
+			if end > td.horizon {
+				td.horizon = end
 			}
 		case e.Phase == "i" && e.Pid == pidProcs && e.Tid == schedulerTid:
 			kind := obs.EvTieBreakB

@@ -240,6 +240,59 @@ func TestChurnRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLagExtremaRoundTrip: with a metrics block attached the trace
+// carries lag-extremum instants, including the end-of-run fold stamped
+// with the horizon itself; they must not stretch the reconstructed run,
+// and the replayed accounting's signed lag extrema must agree with the
+// scheduler's folded max-|lag| gauges. The set fills both processors, so
+// every slot has a span and the trace alone fixes the horizon; at this
+// horizon C's lag peaks (14/15) exactly at the run's end.
+func TestLagExtremaRoundTrip(t *testing.T) {
+	const horizon = 13
+	s := core.NewScheduler(2, core.PD2, core.Options{})
+	rec := obs.NewRecorder(1 << 16)
+	met := obs.NewSchedulerMetrics(nil)
+	s.Observe(rec, met)
+	for _, tk := range []*task.Task{task.MustNew("A", 2, 3), task.MustNew("B", 4, 5), task.MustNew("C", 8, 15)} {
+		if err := s.Join(tk); err != nil {
+			t.Fatalf("join %v: %v", tk, err)
+		}
+	}
+	s.RunUntil(horizon)
+	s.FinishMisses(horizon)
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, rec, obs.ChromeTraceOptions{Procs: 2}); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	td, err := parseTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("parseTrace: %v", err)
+	}
+	rep, err := buildReport(td, 2)
+	if err != nil {
+		t.Fatalf("buildReport: %v", err)
+	}
+	if rep.Slots != horizon {
+		t.Errorf("report spans %d slots, the run %d", rep.Slots, horizon)
+	}
+	atEnd := false
+	for _, e := range td.events {
+		atEnd = atEnd || e.Kind == obs.EvLagExtremum && e.Slot == horizon
+	}
+	if !atEnd {
+		t.Fatal("no lag-extremum event from the end-of-run fold; test premise broken")
+	}
+	for _, ts := range rep.Tasks {
+		want := ts.LagMaxNum
+		if -ts.LagMinNum > want {
+			want = -ts.LagMinNum
+		}
+		if got := met.Task(ts.ID).MaxAbsLagNum.Value(); got != want {
+			t.Errorf("%s: gauge max |lag| %d/%d, replayed extrema [%d,%d]/%d", ts.Name, got, ts.LagDen, ts.LagMinNum, ts.LagMaxNum, ts.LagDen)
+		}
+	}
+}
+
 // TestRingWrapSurfaced: a trace whose ring wrapped must carry the drop
 // count through to the report and the human output must warn.
 func TestRingWrapSurfaced(t *testing.T) {

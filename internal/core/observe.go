@@ -95,8 +95,11 @@ func (s *Scheduler) registerObs(st *tstate) {
 			s.plane.EmitJoin(s.eng.Now(), st.obsID, st.task.Cost, st.task.Period)
 		}
 	}
-	if s.met != nil {
-		s.met.EnsureTask(st.obsID, st.task.Name, st.task.Period)
+	if met := s.met; met != nil {
+		met.EnsureTask(st.obsID, st.task.Name, st.task.Period)
+		// Observation starts here: fold the attach boundary (lag is zero
+		// at an admission, so this matters only for a mid-run attach).
+		s.foldLag(met.Task(st.obsID), st, s.eng.Now(), st.allocated)
 	}
 }
 
@@ -166,39 +169,47 @@ func (s *Scheduler) cmpFast(a, b *tstate) bool {
 	return less(s.alg, &a.pr, &b.pr)
 }
 
-// observeLags updates each live task's max-|lag| gauge after the slot
-// ending at time now, emitting an EvLagExtremum whenever a task reaches
-// a new extremum. Lag is kept exact as an integer pair: for a periodic
-// task, lag(t) = wt·(t − join) − allocated = (cost·Δt − allocated·period)
-// / period, so the numerator comparison below is the exact |lag|
-// comparison with denominator fixed per task. (For IS tasks the value is
-// the same formula against the unshifted fluid reference; per-subtask
-// deadlines are their correctness notion, but the excursion is still
-// worth plotting.) Only runs when metrics are attached; O(n) integer
-// work per slot, no allocation.
+// foldLag folds st's |lag| at slot boundary tau, given the quanta
+// allocated by tau, into the task's max-|lag| gauge, emitting an
+// EvLagExtremum when the fold reaches a new maximum. Lag is kept exact
+// as an integer pair: lag(τ) = wt·(τ − join) − allocated = (cost·(τ −
+// join) − allocated·period) / period, so the numerator comparison below
+// is the exact |lag| comparison with the denominator fixed per
+// incarnation. (For IS tasks the value is the same formula against the
+// unshifted fluid reference; per-subtask deadlines are their correctness
+// notion, but the excursion is still worth plotting.) A nil tm (an id
+// never registered) folds nothing.
+//
+// Lag is piecewise linear in τ: it rises by wt per unscheduled slot and
+// falls by 1 − wt per scheduled one, so its extrema lie at the start of
+// the task's observation (its join, or the attach slot), at both
+// boundaries of each dispatched slot, and at its end (the departure slot,
+// or Now() when FinishMisses closes the run). Folding exactly those
+// boundaries — from registerObs, Dispatch, applyLeaves and FinishMisses —
+// yields the maximum a scan of every boundary would, at a cost that
+// tracks dispatches rather than the tasks ever admitted.
+//
+// Like every other event the scheduler emits, EvLagExtremum carries the
+// engine's current slot: the dispatched slot for both of its boundaries,
+// the departure slot, the attach slot, and Now() for the end-of-run
+// fold. The boundary τ is that slot or the next, and the ring stays in
+// non-decreasing slot order.
 //
 //pfair:hotpath
-func (s *Scheduler) observeLags(now int64) {
-	if met := s.met; met != nil {
-		for _, st := range s.order {
-			if st.departed {
-				continue
-			}
-			num := st.task.Cost*(now-st.joinedAt) - st.allocated*st.task.Period
-			if num < 0 {
-				num = -num
-			}
-			if tm := met.Task(st.obsID); tm != nil {
-				if num > tm.MaxAbsLagNum.Value() {
-					tm.MaxAbsLagNum.Set(num)
-					if rec := s.rec; rec != nil {
-						rec.Emit(obs.Event{
-							Slot: now - 1, Kind: obs.EvLagExtremum,
-							Task: st.obsID, Proc: -1,
-							A: num, B: st.task.Period,
-						})
-					}
-				}
+func (s *Scheduler) foldLag(tm *obs.TaskMetrics, st *tstate, tau, allocated int64) {
+	if tm != nil {
+		num := st.task.Cost*(tau-st.joinedAt) - allocated*st.task.Period
+		if num < 0 {
+			num = -num
+		}
+		if num > tm.MaxAbsLagNum.Value() {
+			tm.MaxAbsLagNum.Set(num)
+			if rec := s.rec; rec != nil {
+				rec.Emit(obs.Event{
+					Slot: s.eng.Now(), Kind: obs.EvLagExtremum,
+					Task: st.obsID, Proc: -1,
+					A: num, B: st.task.Period,
+				})
 			}
 		}
 	}

@@ -905,6 +905,10 @@ func (s *Scheduler) Dispatch(t int64) {
 			met.Allocations.Inc()
 			if tm := met.Task(st.obsID); tm != nil {
 				tm.Allocations.Inc()
+				// Lag peaks at the slot's start and dips at its end: fold
+				// both boundaries (see foldLag).
+				s.foldLag(tm, st, t, st.allocated-1)
+				s.foldLag(tm, st, t+1, st.allocated)
 			}
 		}
 		assigned = append(assigned, Assignment{Proc: k, Task: st.task.Name, Subtask: st.index})
@@ -925,8 +929,10 @@ func (s *Scheduler) Dispatch(t int64) {
 	s.procPrev, s.procNext = procNew, s.procPrev
 }
 
-// Account is the engine accounting phase: per-slot counters, gauges, lag
-// tracking, and the OnSlot callback.
+// Account is the engine accounting phase: per-slot counters, gauges, and
+// the OnSlot callback. Its cost is independent of the task count: the
+// max-|lag| gauges are folded at dispatch boundaries (foldLag), not
+// rescanned here.
 //
 //pfair:hotpath
 func (s *Scheduler) Account(t int64) {
@@ -952,7 +958,6 @@ func (s *Scheduler) Account(t int64) {
 			}
 		}
 	}
-	s.observeLags(t + 1)
 
 	if s.onSlot != nil {
 		s.onSlot(t, s.assignBuf)
@@ -980,7 +985,10 @@ func (s *Scheduler) RunUntil(horizon int64) error {
 // FinishMisses appends, to the recorded stats, a miss for every admitted
 // subtask whose deadline is at or before the horizon but which was never
 // scheduled. Call it once after the final RunUntil to account for work the
-// simulation ended on.
+// simulation ended on. With metrics attached it also folds each live
+// task's lag at the current boundary Now() — lag grows after a task's last
+// dispatch, so the run's end is the last place an extremum can hide. The
+// metrics guard sits outside the loop, so a detached run pays nothing.
 func (s *Scheduler) FinishMisses(horizon int64) {
 	for _, st := range s.order {
 		if st.departed {
@@ -994,6 +1002,14 @@ func (s *Scheduler) FinishMisses(horizon int64) {
 				ScheduledAt: -1,
 			})
 			st.missed = true
+		}
+	}
+	if met := s.met; met != nil {
+		now := s.eng.Now()
+		for _, st := range s.order {
+			if !st.departed {
+				s.foldLag(met.Task(st.obsID), st, now, st.allocated)
+			}
 		}
 	}
 }
@@ -1055,6 +1071,10 @@ func (s *Scheduler) applyLeaves(t int64) {
 		}
 		delete(s.tasks, st.task.Name)
 		st.departed = true
+		if met := s.met; met != nil {
+			// The departure boundary closes the incarnation's lag.
+			s.foldLag(met.Task(st.obsID), st, t, st.allocated)
+		}
 		s.plane.EmitLeave(t, st.obsID, st.allocated)
 		if st.rejoin != nil {
 			rejoins = append(rejoins, st)

@@ -4,6 +4,7 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
+	"pfair/internal/obs"
 	"pfair/internal/rm"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
@@ -18,7 +19,8 @@ import (
 // must hold: core's legacy entry points and Submit are byte-identical,
 // gated admissions never cost an admitted task a deadline where the
 // policy guarantees one, and the ledger counts exactly the accepted and
-// refused requests.
+// refused requests. Core's observed Submit run also feeds the max-|lag|
+// oracle (checkLagGauges).
 
 // dynScript expands the case into per-slot admission requests. Within a
 // slot the order is joins, then reweights, then leaves, each in declared
@@ -65,16 +67,27 @@ type dynRun struct {
 	misses  int
 	ledger  int
 	rejects int64
+	// rec and met are the Submit run's observers (nil for the legacy
+	// run), kept for the max-|lag| oracle.
+	rec *obs.Recorder
+	met *obs.SchedulerMetrics
 }
 
 // runCoreDynPlane drives PD² (or its mutant) over the script through
-// either the legacy entry points (Join/Reweight/Leave) or Submit.
+// either the legacy entry points (Join/Reweight/Leave) or Submit. The
+// Submit run has a trace recorder and a metrics block attached from the
+// start, so the parity check also pins that observation changes no
+// decision, and checkLagGauges has a run to check.
 func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool) dynRun {
 	s := core.NewScheduler(c.M, mutant, core.Options{})
+	var r dynRun
+	if !legacy {
+		r.rec, r.met = obs.NewRecorder(1<<14), obs.NewSchedulerMetrics(nil)
+		s.Observe(r.rec, r.met)
+	}
 	rec := &verify.Recorder{}
 	s.OnSlot(rec.Record)
 	script := dynScript(c)
-	var r dynRun
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		for _, req := range script[slot] {
 			var err error
@@ -133,6 +146,7 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 			break
 		}
 	}
+	checkLagGauges(plane, c.Horizon, v)
 	if legacy.ledger != plane.ledger || legacy.rejects != plane.rejects {
 		v.addf("dynplane/core: ledger parity broken: legacy %d commits/%d rejects, Submit %d/%d",
 			legacy.ledger, legacy.rejects, plane.ledger, plane.rejects)
@@ -156,6 +170,68 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 		}
 		if want := int64(len(r.run.accepts) - accepted); r.run.rejects != want {
 			v.addf("dynplane/core: %s ledgered %d rejects, %d requests were refused", r.name, r.run.rejects, want)
+		}
+	}
+}
+
+// checkLagGauges is the max-|lag| oracle: it rescans the observed run's
+// event stream slot by slot — each incarnation's |lag| numerator
+// |cost·(τ − join) − allocated·period| at every boundary τ from its
+// EvJoin to its EvLeave, or to the horizon FinishMisses closed the run
+// at — and requires the gauge the scheduler folded at dispatch
+// boundaries to equal the scan's maximum, for every incarnation.
+func checkLagGauges(r dynRun, horizon int64, v *violations) {
+	if n := r.rec.Dropped(); n != 0 {
+		v.addf("dynplane/core: the recorder dropped %d events; the lag oracle needs the whole run", n)
+		return
+	}
+	type incarnation struct {
+		join, cost, period, end int64
+		sched                   []int64 // dispatched slots, ascending
+	}
+	var incs []*incarnation // by observability id
+	for _, e := range r.rec.Events() {
+		if e.Task < 0 {
+			continue
+		}
+		for int(e.Task) >= len(incs) {
+			incs = append(incs, nil)
+		}
+		switch in := incs[e.Task]; {
+		case e.Kind == obs.EvJoin:
+			incs[e.Task] = &incarnation{join: e.Slot, cost: e.A, period: e.B, end: horizon}
+		case in == nil:
+		case e.Kind == obs.EvSchedule:
+			in.sched = append(in.sched, e.Slot)
+		case e.Kind == obs.EvLeave:
+			in.end = e.Slot
+		}
+	}
+	for id, in := range incs {
+		if in == nil {
+			continue
+		}
+		want, k := int64(0), 0
+		for tau := in.join; tau <= in.end; tau++ {
+			for k < len(in.sched) && in.sched[k] < tau {
+				k++
+			}
+			num := in.cost*(tau-in.join) - int64(k)*in.period
+			if num < 0 {
+				num = -num
+			}
+			if num > want {
+				want = num
+			}
+		}
+		tm := r.met.Task(int32(id))
+		if tm == nil {
+			v.addf("dynplane/core: %s (id %d) has no metrics", r.rec.TaskName(int32(id)), id)
+			continue
+		}
+		if got := tm.MaxAbsLagNum.Value(); got != want {
+			v.addf("dynplane/core: %s (id %d, %d/%d from slot %d): folded max |lag| %d/%d, per-slot scan %d/%d",
+				r.rec.TaskName(int32(id)), id, in.cost, in.period, in.join, got, in.period, want, in.period)
 		}
 	}
 }

@@ -38,7 +38,9 @@
 //     and identical accept/reject sequences; the edf, rm, and wrr
 //     planes must honor their own feasibility gates (no admitted task
 //     misses where the gate guarantees it), and every plane's ledger
-//     must count exactly its accepted and refused requests.
+//     must count exactly its accepted and refused requests. Core's
+//     Submit run is observed, and every incarnation's folded max-|lag|
+//     gauge must equal a per-slot rescan of its trace.
 //
 // Every case is reconstructible from (kind, seed, trial) via GenCase —
 // the replay key a failure report prints. When a case fails, Shrink

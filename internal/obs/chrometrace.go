@@ -78,6 +78,11 @@ type run struct {
 // WriteChromeTrace writes the recorder's retained events as Chrome
 // trace-event JSON. Load the output in https://ui.perfetto.dev or
 // chrome://tracing.
+//
+// Task lanes are named only for the tasks the retained events mention
+// (as the event's task, or as a tie-break's loser), so the export's size
+// tracks the ring, not every task ever registered: a wrapped ring from a
+// long churning run names the tasks of its retained suffix only.
 func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error {
 	unit := opt.SlotMicros
 	if unit <= 0 {
@@ -86,9 +91,23 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 	events := rec.Events()
 
 	maxProc := int32(opt.Procs) - 1
+	var mentioned []bool // task id → some retained event names it
+	mention := func(id int32) {
+		if id < 0 {
+			return
+		}
+		for int(id) >= len(mentioned) {
+			mentioned = append(mentioned, false)
+		}
+		mentioned[id] = true
+	}
 	for _, e := range events {
 		if e.Proc > maxProc {
 			maxProc = e.Proc
+		}
+		mention(e.Task)
+		if e.Kind == EvTieBreakB || e.Kind == EvTieBreakGroup {
+			mention(int32(e.A))
 		}
 	}
 
@@ -104,14 +123,16 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 	for k := int32(0); k <= maxProc; k++ {
 		meta(chromePidProcs, int64(k), "thread_name", "CPU "+itoa(int64(k)))
 	}
-	for _, id := range rec.TaskIDs() {
-		meta(chromePidTasks, int64(id), "thread_name", rec.TaskName(id))
+	for id, ok := range mentioned {
+		if ok {
+			meta(chromePidTasks, int64(id), "thread_name", rec.TaskName(int32(id)))
+		}
 	}
 	meta(chromePidProcs, schedulerTid, "thread_name", "scheduler decisions")
 
 	// Merge consecutive EvSchedule events into runs; everything else
 	// becomes an instant on the relevant lane(s).
-	open := map[int32]*run{} // task id → current run
+	open := make([]*run, len(mentioned)) // task id → current run
 	flush := func(r *run) {
 		dur := (r.end - r.start + 1) * unit
 		args := map[string]any{
@@ -141,6 +162,9 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 	for _, e := range events {
 		switch e.Kind {
 		case EvSchedule:
+			if e.Task < 0 {
+				continue // no lane to draw an unregistered task's run on
+			}
 			if r := open[e.Task]; r != nil {
 				if r.proc == e.Proc && e.Slot == r.end+1 {
 					r.end = e.Slot
@@ -179,8 +203,8 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 		}
 	}
 	// Flush remaining runs in task-id order for deterministic output.
-	for _, id := range rec.TaskIDs() {
-		if r := open[id]; r != nil {
+	for _, r := range open {
+		if r != nil {
 			flush(r)
 		}
 	}

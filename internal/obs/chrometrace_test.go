@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -135,5 +136,39 @@ func TestChromeTraceCustomSlotMicros(t *testing.T) {
 	}
 	if !found {
 		t.Error("custom SlotMicros not applied to span timestamps")
+	}
+}
+
+// TestChromeTraceNamesRetainedTasksOnly: task lanes are named only for
+// the tasks the retained events mention — including a tie-break's loser,
+// which appears only in A — so a wrapped ring's export does not carry
+// every task ever registered.
+func TestChromeTraceNamesRetainedTasksOnly(t *testing.T) {
+	r := NewRecorder(4)
+	for id, name := range []string{"gone", "A", "B", "idle", "C"} {
+		r.RegisterTask(int32(id), name)
+	}
+	r.Emit(Event{Slot: 0, Kind: EvSchedule, Task: 0, Proc: 0, A: 1}) // wrapped away
+	r.Emit(Event{Slot: 1, Kind: EvSchedule, Task: 1, Proc: 0, A: 1})
+	r.Emit(Event{Slot: 1, Kind: EvTieBreakB, Task: 1, Proc: -1, A: 2, B: 3})
+	r.Emit(Event{Slot: 2, Kind: EvSchedule, Task: 4, Proc: 0, A: 1})
+	r.Emit(Event{Slot: 2, Kind: EvIdle, Task: -1, Proc: 1})
+	if r.Dropped() != 1 {
+		t.Fatalf("dropped %d events, want 1", r.Dropped())
+	}
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, r, ChromeTraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, e := range decodeTrace(t, b.Bytes()) {
+		if e["name"] == "thread_name" && e["pid"] == float64(chromePidTasks) {
+			args, _ := e["args"].(map[string]any)
+			name, _ := args["name"].(string)
+			lanes = append(lanes, name)
+		}
+	}
+	if got, want := fmt.Sprint(lanes), "[A B C]"; got != want {
+		t.Errorf("task lanes %s, want %s (the retained events' tasks and the tie-break loser)", got, want)
 	}
 }

@@ -177,6 +177,17 @@ func (r *Registry) Gauge(family, labels, help string) *Gauge {
 	return e.gauge
 }
 
+// RestartGauge registers the gauge series family{labels} like Gauge,
+// but always binds the series to a fresh zero-valued handle: a handle an
+// earlier registration returned keeps its value and stops being
+// exported. Use it for a series whose meaning restarts, such as a
+// per-task extremum when a new incarnation of the task takes the name.
+func (r *Registry) RestartGauge(family, labels, help string) *Gauge {
+	e := r.lookup(family, labels, help, KindGauge)
+	e.gauge = &Gauge{}
+	return e.gauge
+}
+
 // Histogram registers (or returns the existing) histogram series with
 // the given ascending bucket upper bounds. The bounds of an existing
 // series are not changed.

@@ -62,7 +62,12 @@ const (
 	// group-deadline comparison; Task won against task id A.
 	EvTieBreakGroup
 	// EvLagExtremum: Task reached a new maximum |lag| of A/B (numerator
-	// A over denominator B = the task's period).
+	// A over denominator B = the task's period). Emitted by the fold that
+	// maintains the max-|lag| gauge (see TaskMetrics.MaxAbsLagNum), at
+	// the boundaries where lag can peak: registration, either boundary of
+	// a dispatched slot, departure, and the end of the run. Slot is the
+	// slot in progress at the fold, as for every other event, so the
+	// boundary is Slot or Slot+1 and the ring stays in slot order.
 	EvLagExtremum
 	// EvReweight: Task's weight change took effect at Slot. A = the new
 	// cost, B = the new period. Emitted by the admission plane at the

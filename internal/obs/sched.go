@@ -76,9 +76,19 @@ type TaskMetrics struct {
 	Preemptions *Counter
 	Misses      *Counter
 	// MaxAbsLagNum is the numerator of the largest |lag| observed, over
-	// the denominator LagDen (the task's period): lag after slot t is
-	// (cost·(t+1−join) − allocated·period) / period. Kept as an exact
-	// integer pair, per the repository's no-floats rule.
+	// the denominator LagDen (the task's period): lag at slot boundary τ
+	// is (cost·(τ−join) − allocated·period) / period. Kept as an exact
+	// integer pair, per the repository's no-floats rule. The scheduler
+	// folds it at the boundaries where lag can peak — registration, both
+	// boundaries of every dispatched slot, departure, and the end-of-run
+	// FinishMisses — so it costs nothing in slots a task does not run,
+	// and a read taken mid-run, in an idle stretch, trails the lag
+	// accrued since the task's last dispatch.
+	//
+	// The gauge belongs to one incarnation (one id): a later incarnation
+	// of the same name — a core reweight re-joins under a fresh id, over
+	// a new period — restarts the exported series, and this handle keeps
+	// the earlier incarnation's value.
 	MaxAbsLagNum *Gauge
 	// LagDen is the fixed denominator of MaxAbsLagNum.
 	LagDen int64
@@ -131,7 +141,10 @@ func (m *SchedulerMetrics) Registry() *Registry { return m.reg }
 
 // EnsureTask registers the per-task instrument block for the given
 // scheduler task id (idempotent, cold path). Ids must be small and
-// dense — they index a slice.
+// dense — they index a slice. A new id under an already-registered name
+// is a new incarnation: its counters continue the name's series, while
+// the max-|lag| series restarts (its numerators are over the new
+// period).
 func (m *SchedulerMetrics) EnsureTask(id int32, name string, period int64) {
 	if id < 0 {
 		return
@@ -148,7 +161,7 @@ func (m *SchedulerMetrics) EnsureTask(id int32, name string, period int64) {
 		Migrations:   m.reg.Counter("pfair_task_migrations_total", labels, "migrations, per task"),
 		Preemptions:  m.reg.Counter("pfair_task_preemptions_total", labels, "preemptions, per task"),
 		Misses:       m.reg.Counter("pfair_task_deadline_misses_total", labels, "deadline misses, per task"),
-		MaxAbsLagNum: m.reg.Gauge("pfair_task_max_abs_lag_num", labels, "numerator of max |lag| (denominator = the task's period)"),
+		MaxAbsLagNum: m.reg.RestartGauge("pfair_task_max_abs_lag_num", labels, "numerator of max |lag| (denominator = the task's period); restarts with each incarnation of the task"),
 		LagDen:       period,
 	}
 }
