@@ -32,9 +32,10 @@ race:
 bench:
 	sh scripts/bench.sh BENCH_core.json
 
-# bench-scale runs the million-task scale benchmarks (sharded ready
-# queues, supertask hierarchy) at a fixed iteration count and writes
-# BENCH_scale.json with slots/s throughput alongside ns/op. Three
+# bench-scale runs the million-task scale benchmarks (2^20-task PD²,
+# metrics attached vs detached at 2^18, the supertask hierarchy) at a
+# fixed iteration count and writes BENCH_scale.json with slots/s
+# throughput alongside ns/op. Three
 # repeats, pinning the slowest: these benchmarks are bimodal on
 # single-CPU boxes (~2.5x fast vs slow mode, DESIGN.md §10), and a
 # baseline caught in the fast mode makes bench-guard-scale flake.
@@ -57,7 +58,7 @@ bench-guard-scale:
 	BENCH_GUARD_THRESHOLD=$${BENCH_GUARD_THRESHOLD:-100} sh scripts/bench_guard.sh BENCH_scale.json 'BenchmarkScale' 500x 4
 
 # fuzz runs the differential scheduling oracle: 150 task systems per kind
-# (1350 total) across every scheduler pairing, with shrunken reproducers
+# (1200 total) across every scheduler pairing, with shrunken reproducers
 # and replay keys on failure. See EXPERIMENTS.md for replaying seeds.
 fuzz:
 	$(GO) run ./cmd/fuzz -n 150 -seed 1
@@ -68,9 +69,9 @@ fuzz-short:
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets validated by tracecheck
-# and explained by pfairtrace, shard telemetry exposition, plus the
-# observed and profiled hot-path allocation benchmarks. See DESIGN.md
-# §7 and §12.
+# and explained by pfairtrace, live decision-level tie-break counters
+# on a metrics-only run, plus the observed and profiled hot-path
+# allocation benchmarks. See DESIGN.md §7 and §12.
 smoke:
 	sh scripts/smoke.sh
 

@@ -32,13 +32,10 @@ func (s *Scheduler) Observe(rec *obs.Recorder, met *obs.SchedulerMetrics) {
 	s.adoptAttachments()
 }
 
-// adoptAttachments re-caches the engine's observability attachments,
-// registers every live task with them, and reselects the eligible-set
-// representation: recorder-traced runs use the legacy ready heap (whose
-// comparator emits the tie-break trace events), runs without a recorder —
-// including metrics-only ones — the bucketed fast path, whose comparator
-// counts through cmpFast and whose shard telemetry Account publishes.
-// Queued subtasks migrate between the structures.
+// adoptAttachments re-caches the engine's observability attachments and
+// registers every live task with them. The eligible set is untouched:
+// attachments change what is counted and narrated, not which structure
+// selects.
 func (s *Scheduler) adoptAttachments() {
 	s.rec, s.met = s.eng.Recorder(), s.eng.Metrics()
 	s.plane.Observe(s.rec, s.met)
@@ -47,15 +44,6 @@ func (s *Scheduler) adoptAttachments() {
 			s.registerObs(st)
 		}
 	}
-	if s.met != nil && s.shardN > 0 {
-		s.met.EnsureShards(s.shardN)
-	}
-	if sh := s.readySh; sh != nil {
-		// Counter deltas start from the attach point: stealing that
-		// happened before anyone was listening stays unpublished.
-		s.shardSeen = sh.Stats()
-	}
-	s.updateMode()
 }
 
 // AllocObsID hands out the next dense observability id from the
@@ -103,70 +91,59 @@ func (s *Scheduler) registerObs(st *tstate) {
 	}
 }
 
-// cmpReady is the ready-queue ordering: the plain comparator when
-// unobserved, and the tie-break-tracing variant when a recorder or
-// metrics block is attached. The observed path reports which rule
-// decided each deadline tie — the measurement behind the paper's claim
-// that tie-breaks, not deadlines, are where Pfair algorithms differ.
-//
-//pfair:hotpath
-func (s *Scheduler) cmpReady(a, b *tstate) bool {
-	if s.rec == nil && s.met == nil {
-		return less(s.alg, &a.pr, &b.pr)
-	}
-	if met := s.met; met != nil {
-		met.HeapCmps.Inc()
-	}
-	res, why := lessWhy(s.alg, &a.pr, &b.pr)
-	if why != byBBit && why != byGroup {
-		return res
-	}
-	winner, loser := a, b
-	if !res {
-		winner, loser = b, a
-	}
-	kind := obs.EvTieBreakB
-	if why == byGroup {
-		kind = obs.EvTieBreakGroup
-	}
-	if met := s.met; met != nil {
-		if why == byBBit {
-			met.TieBreakB.Inc()
-		} else {
-			met.TieBreakGroup.Inc()
-		}
-	}
-	if rec := s.rec; rec != nil {
-		rec.Emit(obs.Event{
-			Slot: s.eng.Now(), Kind: kind,
-			Task: winner.obsID, Proc: -1,
-			A: int64(loser.obsID), B: winner.pr.deadline,
-		})
-	}
-	return res
-}
-
-// cmpFast is the fast-mode (bucketed and sharded queues) equal-deadline
-// comparator: the plain priority order when no metrics block is
-// attached, and the counting variant when one is — comparator
-// invocations and decided tie-breaks land in the metrics block exactly
-// as cmpReady's do on the legacy heap, but no events are emitted, so
-// fast mode needs no recorder. The returned order is identical either
-// way; only counters move.
+// cmpFast is the ready queue's equal-deadline comparator: the plain
+// priority order, counting invocations into the metrics block when one
+// is attached. The order is identical either way; only the counter
+// moves.
 //
 //pfair:hotpath
 func (s *Scheduler) cmpFast(a, b *tstate) bool {
 	if met := s.met; met != nil {
 		met.HeapCmps.Inc()
-		res, why := lessWhy(s.alg, &a.pr, &b.pr)
-		if why == byBBit {
-			met.TieBreakB.Inc()
-		} else if why == byGroup {
-			met.TieBreakGroup.Inc()
-		}
-		return res
 	}
 	return less(s.alg, &a.pr, &b.pr)
+}
+
+// observeTie narrates the slot's deciding tie-break. Section 2 says the
+// Pfair algorithms differ only in how they break deadline ties, and the
+// one tie that changes who runs in a slot sits at the selection
+// boundary: between last, the last subtask selected, and the first
+// subtask left in the ready queue. When the two share a deadline and the
+// b-bit or group-deadline rule ordered them, observeTie counts it
+// (TieBreakB/TieBreakGroup) and emits one event naming last as the
+// winner, the first rejected subtask as the loser (A), and the deadline
+// (B). So a slot yields at most one tie-break, and counters and events
+// agree whether or not a recorder is attached. Pick calls it only when
+// all m processors were filled and something is observing.
+//
+//pfair:hotpath
+func (s *Scheduler) observeTie(t int64, last *tstate) {
+	next, _, ok := s.ready.PeekMin()
+	if !ok || next.deadline != last.deadline {
+		return
+	}
+	_, why := lessWhy(s.alg, &last.pr, &next.pr)
+	kind := obs.EvTieBreakB
+	switch why {
+	case byBBit:
+		if met := s.met; met != nil {
+			met.TieBreakB.Inc()
+		}
+	case byGroup:
+		kind = obs.EvTieBreakGroup
+		if met := s.met; met != nil {
+			met.TieBreakGroup.Inc()
+		}
+	default:
+		return
+	}
+	if rec := s.rec; rec != nil {
+		rec.Emit(obs.Event{
+			Slot: t, Kind: kind,
+			Task: last.obsID, Proc: -1,
+			A: int64(next.obsID), B: last.deadline,
+		})
+	}
 }
 
 // foldLag folds st's |lag| at slot boundary tau, given the quanta

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pfair/internal/obs"
@@ -135,24 +136,32 @@ func TestObserveMisses(t *testing.T) {
 }
 
 // TestObserveTieBreaks: on a fully utilized set PD² must resolve at least
-// one deadline tie via the b-bit rule, and each traced tie-break names a
-// winner distinct from its loser.
+// one deadline tie via the b-bit rule. Tie-breaks are narrated at
+// decision level: at most one per slot, naming the last subtask selected
+// as the winner and the first one left out as the loser, and emitted
+// exactly when those two share a deadline that the b-bit or group rule
+// decided. The counters equal the event counts, and a metrics-only run
+// counts the same ties as a traced one.
 func TestObserveTieBreaks(t *testing.T) {
 	set := task.Set{
 		task.MustNew("T0", 4, 9), task.MustNew("T1", 3, 6), task.MustNew("T2", 1, 2),
 		task.MustNew("T3", 8, 9), task.MustNew("T4", 6, 10), task.MustNew("T5", 3, 6),
 		task.MustNew("T6", 9, 10), task.MustNew("T7", 2, 3),
 	}
-	s := NewScheduler(5, PD2, Options{})
-	rec := obs.NewRecorder(1 << 20)
-	met := obs.NewSchedulerMetrics(nil)
-	s.Observe(rec, met)
-	for _, tk := range set {
-		if err := s.Join(tk); err != nil {
-			t.Fatalf("join: %v", err)
+	run := func(rec *obs.Recorder) (*obs.SchedulerMetrics, *refPick) {
+		s, ref := newRefScheduler(t, 5, PD2, Options{})
+		met := obs.NewSchedulerMetrics(nil)
+		s.Observe(rec, met)
+		for _, tk := range set {
+			if err := s.Join(tk); err != nil {
+				t.Fatalf("join: %v", err)
+			}
 		}
+		s.RunUntil(set.Hyperperiod())
+		return met, ref
 	}
-	s.RunUntil(set.Hyperperiod())
+	rec := obs.NewRecorder(1 << 20)
+	met, ref := run(rec)
 
 	counts := countKinds(rec)
 	if counts[obs.EvTieBreakB] == 0 {
@@ -167,12 +176,40 @@ func TestObserveTieBreaks(t *testing.T) {
 	if met.HeapCmps.Value() == 0 {
 		t.Error("heap comparison counter never incremented")
 	}
+	ties := map[int64]obs.Event{}
 	for _, e := range rec.Events() {
-		if e.Kind == obs.EvTieBreakB || e.Kind == obs.EvTieBreakGroup {
-			if int64(e.Task) == e.A {
-				t.Fatalf("tie-break event with winner == loser: %+v", e)
-			}
+		if e.Kind != obs.EvTieBreakB && e.Kind != obs.EvTieBreakGroup {
+			continue
 		}
+		if _, dup := ties[e.Slot]; dup {
+			t.Fatalf("slot %d narrates more than one tie-break: %+v", e.Slot, e)
+		}
+		ties[e.Slot] = e
+	}
+	checked := 0
+	for slot, want := range ref.boundary {
+		e, ok := ties[slot]
+		delete(ties, slot)
+		switch {
+		case want.Kind == obs.EvNone && ok:
+			t.Errorf("slot %d: tie-break event %+v, but the selection boundary was not a b-bit/group tie", slot, e)
+		case want.Kind != obs.EvNone && (!ok || e != want):
+			t.Errorf("slot %d: tie-break event %+v (present=%v), want %+v", slot, e, ok, want)
+		case ok:
+			checked++
+		}
+	}
+	for slot, e := range ties {
+		t.Errorf("slot %d: tie-break event %+v with fewer than m+1 eligible subtasks", slot, e)
+	}
+	if checked == 0 {
+		t.Error("no tie-break event matched a selection boundary")
+	}
+
+	metOnly, _ := run(nil)
+	if metOnly.TieBreakB.Value() != met.TieBreakB.Value() || metOnly.TieBreakGroup.Value() != met.TieBreakGroup.Value() {
+		t.Errorf("metrics-only run counts %d/%d b-bit/group ties, traced run %d/%d",
+			metOnly.TieBreakB.Value(), metOnly.TieBreakGroup.Value(), met.TieBreakB.Value(), met.TieBreakGroup.Value())
 	}
 }
 
@@ -271,5 +308,54 @@ func TestObserveMidRunAttach(t *testing.T) {
 	s.RunUntil(200)
 	if rec.Total() != total {
 		t.Error("events recorded after detach")
+	}
+}
+
+// shifted is an IS release model that delays every subtask by d slots.
+type shifted struct{ d int64 }
+
+func (m shifted) Offset(int64) int64    { return m.d }
+func (m shifted) Earliness(int64) int64 { return 0 }
+
+// TestReleaseStormEventOrder releases 4096 subtasks in one slot under a
+// recorder and requires their EvRelease events in (eligibility, id)
+// order. Half the batch entered the pending wheel at admission (an IS
+// offset), half at dispatch over the preceding slots; the wheel hands
+// the bucket back in reverse insertion order, so the batch arrives far
+// from sorted.
+func TestReleaseStormEventOrder(t *testing.T) {
+	const m, half, period = 64, 2048, 64
+	s := NewScheduler(m, PD2, Options{})
+	rec := obs.NewRecorder(1 << 16)
+	s.Observe(rec, nil)
+	for i := 0; i < 2*half; i++ {
+		var model ReleaseModel
+		if i >= half {
+			model = shifted{period}
+		}
+		if err := s.JoinModel(task.MustNew(fmt.Sprintf("T%04d", i), 1, period), model); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	s.RunUntil(period + 1)
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring too small: dropped %d events", rec.Dropped())
+	}
+
+	// A subtask released in slot t became eligible at t, so the event's
+	// slot is its eligibility; ids are fixed at admission.
+	var ids []int
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvRelease && e.Slot == period {
+			ids = append(ids, s.tasks[rec.TaskName(e.Task)].id)
+		}
+	}
+	if len(ids) != 2*half {
+		t.Fatalf("slot %d released %d subtasks, want %d", period, len(ids), 2*half)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Fatalf("EvRelease %d (id %d) does not precede EvRelease %d (id %d)", i-1, ids[i-1], i, ids[i])
+		}
 	}
 }

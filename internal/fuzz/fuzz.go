@@ -27,11 +27,6 @@
 //     with per-task join offsets.
 //   - KindIS: intra-sporadic delay schedules; PD² remains optimal under
 //     the IS model, and the trace must verify with the shifted windows.
-//   - KindShard: the sharded ready-queue representation vs the single
-//     queue on full-utilization sets. The shard tier's pick is an exact
-//     tournament under a total priority order, so the assignment stream
-//     must be identical slot for slot at every shard count — any
-//     divergence is a representation bug, caught at the first slot.
 //   - KindDynPlane: one churn script — joins, reweights, and leaves —
 //     replayed against every admission-plane implementation. Core's
 //     legacy entry points and Submit must produce identical schedules
@@ -70,12 +65,11 @@ const (
 	KindPartition
 	KindDynamic
 	KindIS
-	KindShard
 	KindDynPlane
 	numKinds
 )
 
-var kindNames = [...]string{"fullutil", "epdf", "edf", "rm", "partition", "dynamic", "is", "shard", "dynplane"}
+var kindNames = [...]string{"fullutil", "epdf", "edf", "rm", "partition", "dynamic", "is", "dynplane"}
 
 func (k Kind) String() string {
 	if k >= 0 && int(k) < len(kindNames) {
@@ -169,10 +163,7 @@ func GenCase(kind Kind, seed, trial int64) Case {
 	rng := rand.New(rand.NewSource(taskgen.SubSeed(seed, 1000+int64(kind), trial)))
 	c := Case{Kind: kind, Seed: seed, Trial: trial}
 	switch kind {
-	case KindFullUtil, KindEPDF, KindShard:
-		// Shard cases reuse the full-utilization regime: with zero slack
-		// every slot is contended, so a sharded pick that deviates from
-		// the single queue's total order diverges immediately.
+	case KindFullUtil, KindEPDF:
 		c.Set, c.M = genFullUtil(rng)
 		c.Horizon = 2 * c.Set.Hyperperiod()
 	case KindEDF, KindRM:

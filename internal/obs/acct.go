@@ -71,9 +71,9 @@ type TaskStats struct {
 	RespSum   int64 `json:"respSum"`
 	RespMax   int64 `json:"respMax"`
 
-	// TieBreakWins counts deadline ties this task won by the b-bit or
-	// group-deadline rule (EvTieBreakB/EvTieBreakGroup with this task as
-	// winner).
+	// TieBreakWins counts slots whose selection boundary this task won
+	// by the b-bit or group-deadline rule (EvTieBreakB/EvTieBreakGroup
+	// with this task as winner).
 	TieBreakWins int64 `json:"tieBreakWins"`
 
 	// LagMaxNum/LagDen and LagMinNum/LagDen are the exact signed lag

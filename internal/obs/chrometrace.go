@@ -33,8 +33,8 @@ type ChromeTraceOptions struct {
 	// never scheduled on; 0 infers lanes from the events.
 	Procs int
 	// Extra is merged into the file's top-level otherData object — run
-	// configuration (algorithm, processor count, shard stats) a consumer
-	// like cmd/pfairtrace reads back. The exporter's reserved keys
+	// configuration (algorithm, processor count) a consumer like
+	// cmd/pfairtrace reads back. The exporter's reserved keys
 	// (slotMicros, totalEvents, retainedEvents, droppedEvents) win over
 	// Extra on collision.
 	Extra map[string]any

@@ -55,11 +55,13 @@ const (
 	// EvMiss: subtask A of Task was detected past its deadline B in slot
 	// Slot (it runs tardily in Slot, or never — see core.Miss).
 	EvMiss
-	// EvTieBreakB: a deadline tie at deadline B was decided by the PD²
-	// b-bit comparison; Task won against task id A.
+	// EvTieBreakB: the slot's selection boundary was a tie at deadline
+	// B decided by the PD² b-bit comparison: Task, the last subtask
+	// selected, won against task id A, the first one left out. At most
+	// one tie-break event per slot.
 	EvTieBreakB
-	// EvTieBreakGroup: a deadline tie at deadline B was decided by the
-	// group-deadline comparison; Task won against task id A.
+	// EvTieBreakGroup: as EvTieBreakB, decided by the group-deadline
+	// comparison.
 	EvTieBreakGroup
 	// EvLagExtremum: Task reached a new maximum |lag| of A/B (numerator
 	// A over denominator B = the task's period). Emitted by the fold that

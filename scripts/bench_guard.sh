@@ -36,6 +36,11 @@
 # Figure 3 EDF-FF analysis rows, whose N=500 sub-benchmark takes
 # milliseconds per op, at 200x.
 #
+# Every baseline row must match a benchmark in the run: a row that
+# matched none (a renamed or deleted benchmark, a regex that no longer
+# selects it) fails the gate as MISSING, so renaming a benchmark cannot
+# silently un-gate it. Remove or rename the row in the same change.
+#
 # Usage: scripts/bench_guard.sh [baseline.json] [bench-regex] [benchtime] [count]
 #   BENCH_GUARD_THRESHOLD  percent regression tolerated (default 30)
 set -eu
@@ -74,7 +79,7 @@ FNR == NR {
 		if (match($0, /"ns_per_op": [0-9.eE+-]+/))    ns = substr($0, RSTART + 13, RLENGTH - 13)
 		if (match($0, /"allocs_per_op": [0-9.eE+-]+/)) al = substr($0, RSTART + 17, RLENGTH - 17)
 		if (match($0, /"slots_per_sec": [0-9.eE+-]+/)) sl = substr($0, RSTART + 17, RLENGTH - 17)
-		if (ns != "") { base_ns[name] = ns + 0; base_al[name] = al + 0 }
+		if (ns != "") { base_ns[name] = ns + 0; base_al[name] = al + 0; border[++nbase] = name }
 		if (sl != "") base_sl[name] = sl + 0
 	}
 	next
@@ -95,11 +100,15 @@ FNR == NR {
 	if (!(name in run_ns) || ns + 0 < run_ns[name]) run_ns[name] = ns + 0
 	if (al != "" && (!(name in run_al) || al + 0 > run_al[name])) run_al[name] = al + 0
 	if (sl != "" && (!(name in run_sl) || sl + 0 > run_sl[name])) run_sl[name] = sl + 0
-	if (!(name in seen)) { order[++nnames] = name; seen[name] = 1 }
 }
 END {
-	for (k = 1; k <= nnames; k++) {
-		name = order[k]
+	for (k = 1; k <= nbase; k++) {
+		name = border[k]
+		if (!(name in run_ns)) {
+			printf "MISSING %s: baseline row matched no benchmark run\n", name
+			bad++
+			continue
+		}
 		checked++
 		limit = base_ns[name] * (1 + thresh / 100)
 		if (run_ns[name] > limit) {
@@ -123,7 +132,7 @@ END {
 		}
 	}
 	if (checked == 0) { print "bench_guard: no benchmarks matched the baseline"; exit 1 }
-	printf "bench_guard: %d benchmarks checked, %d regressions (threshold +%s%% ns/op)\n", checked, bad + 0, thresh
+	printf "bench_guard: %d benchmarks checked, %d regressions or missing rows (threshold +%s%% ns/op)\n", checked, bad + 0, thresh
 	if (bad > 0) exit 1
 }
 ' "$base" "$raw"
