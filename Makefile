@@ -24,11 +24,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the scheduler hot-path benchmarks and the Figure 3 EDF-FF
-# analysis rows and writes BENCH_core.json (name, ns/op, allocs/op per
-# benchmark) for machine consumption, and
-# appends a dated entry to BENCH_core.trajectory.json. Refuses a dirty
-# tree (BENCH_ALLOW_DIRTY=1 overrides).
+# bench runs the scheduler hot-path benchmarks, the Figure 3 EDF-FF
+# analysis rows and the uniprocessor job-simulator rows, and writes
+# BENCH_core.json (name, ns/op, allocs/op per benchmark) for machine
+# consumption, and appends a dated entry to BENCH_core.trajectory.json.
+# Refuses a dirty tree (BENCH_ALLOW_DIRTY=1 overrides).
 bench:
 	sh scripts/bench.sh BENCH_core.json
 
@@ -90,7 +90,8 @@ engine-equiv:
 	$(GO) test ./internal/engine -run 'TestGolden' -count=1
 
 # dyn-equiv runs the admission-plane equivalence suite: for every policy
-# (PD² core, EDF, RM, WRR, supertask) the unified Submit entry point and
+# (PD² core, the uniprocessor job simulator under EDF and under RM order,
+# WRR, supertask) the unified Submit entry point and
 # the legacy per-policy entry points must produce identical schedules,
 # stats, and ledgers over the same churn script (DESIGN.md §13).
 dyn-equiv:

@@ -18,6 +18,7 @@ import (
 	"pfair/internal/heap"
 	"pfair/internal/mpcp"
 	"pfair/internal/overhead"
+	"pfair/internal/rm"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
 	"pfair/internal/taskgen"
@@ -97,6 +98,79 @@ func BenchmarkFig2aEDF(b *testing.B) {
 				b.ReportMetric(float64(nanos)/float64(invocations), "ns/invocation")
 			}
 		})
+	}
+}
+
+// BenchmarkUniprocTimers runs the uniprocessor job simulator under both
+// job orders on each side of its release-timer selection: short periods
+// (1000–10000) keep the calendar wheel, the Figure 3 menu (50 ms–1 s,
+// above calq.DefaultSpanCap) selects the heap. Every set has 1000 tasks
+// at Σu = 0.6, which both the EDF gate (Σu ≤ 1) and the RM gate (the
+// hyperbolic bound) admit, so no run may miss. One op is one run over
+// the horizon from a freshly built simulator; building it is untimed.
+func BenchmarkUniprocTimers(b *testing.B) {
+	// The short set is built exactly: 200 copies of a five-task group
+	// with Σu = 3/1000. UUniFast weights near 1/1000 round up to a whole
+	// time unit per job at these periods and overshoot to Σu ≈ 0.72, past
+	// the hyperbolic bound. At the long periods costs run to hundreds of
+	// units, so the generator's rounding stays negligible.
+	var short task.Set
+	for g := 0; g < 200; g++ {
+		for _, ep := range [][2]int64{{1, 1000}, {1, 2000}, {1, 2500}, {2, 5000}, {7, 10000}} {
+			short = append(short, task.MustNew(fmt.Sprintf("T%d", len(short)), ep[0], ep[1]))
+		}
+	}
+	long, err := taskgen.New(9000).Set("T", 1000, 0.6, experiments.Fig3PeriodsUS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sides := []struct {
+		name    string
+		set     task.Set
+		horizon int64
+	}{
+		{"short", short, 20000},
+		{"long", long, 2000000},
+	}
+	orders := []struct {
+		name string
+		new  func(set task.Set) (*edf.Simulator, error)
+	}{
+		{"edf", func(set task.Set) (*edf.Simulator, error) {
+			s := edf.NewSimulator()
+			for _, t := range set {
+				if err := s.Add(edf.Config{Task: t}); err != nil {
+					return nil, err
+				}
+			}
+			return s, nil
+		}},
+		{"rm", func(set task.Set) (*edf.Simulator, error) { return rm.NewSimulator(set) }},
+	}
+	for _, o := range orders {
+		for _, side := range sides {
+			b.Run(o.name+"/"+side.name, func(b *testing.B) {
+				set := side.set
+				if !edf.Schedulable(set) || !rm.SchedulableHyperbolic(set) {
+					b.Fatalf("Σu = %v: a gate refuses the set", set.TotalWeight())
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s, err := o.new(set)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if err := s.Run(side.horizon); err != nil {
+						b.Fatal(err)
+					}
+					if n := len(s.Stats().Misses); n != 0 {
+						b.Fatalf("%d misses on a set both gates admit", n)
+					}
+				}
+			})
+		}
 	}
 }
 

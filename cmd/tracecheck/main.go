@@ -60,6 +60,17 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
+	summary, err := check(path, raw, *require, *spans)
+	if err != nil {
+		fatal("%v", err)
+	}
+	fmt.Println(summary)
+}
+
+// check validates one trace file's bytes (path names it in messages)
+// and returns the one-line summary main prints: the event count and a
+// per-name tally.
+func check(path string, raw []byte, require string, spans bool) (string, error) {
 	// The trace-event format is open: events may carry cat, s, cname, …
 	// beyond the fields we validate, so decode loosely.
 	var file struct {
@@ -68,10 +79,10 @@ func main() {
 		OtherData       map[string]any `json:"otherData"`
 	}
 	if err := json.Unmarshal(raw, &file); err != nil {
-		fatal("%s: not a trace-event JSON object: %v", path, err)
+		return "", fmt.Errorf("%s: not a trace-event JSON object: %v", path, err)
 	}
 	if len(file.TraceEvents) == 0 {
-		fatal("%s: traceEvents is empty", path)
+		return "", fmt.Errorf("%s: traceEvents is empty", path)
 	}
 	if file.OtherData != nil {
 		odNum := func(key string) (float64, bool) {
@@ -79,18 +90,18 @@ func main() {
 			return v, ok
 		}
 		if u, ok := odNum("slotMicros"); !ok || u <= 0 {
-			fatal("%s: otherData.slotMicros missing or not a positive number", path)
+			return "", fmt.Errorf("%s: otherData.slotMicros missing or not a positive number", path)
 		}
 		var ring [3]float64
 		for i, key := range []string{"totalEvents", "retainedEvents", "droppedEvents"} {
 			v, ok := odNum(key)
 			if !ok || v < 0 {
-				fatal("%s: otherData.%s missing or negative", path, key)
+				return "", fmt.Errorf("%s: otherData.%s missing or negative", path, key)
 			}
 			ring[i] = v
 		}
 		if ring[0] != ring[1]+ring[2] {
-			fatal("%s: otherData ring accounting inconsistent: totalEvents %v != retainedEvents %v + droppedEvents %v",
+			return "", fmt.Errorf("%s: otherData ring accounting inconsistent: totalEvents %v != retainedEvents %v + droppedEvents %v",
 				path, ring[0], ring[1], ring[2])
 		}
 	}
@@ -102,18 +113,18 @@ func main() {
 	for i, e := range file.TraceEvents {
 		where := fmt.Sprintf("%s: event %d (%q)", path, i, e.Name)
 		if e.Name == "" {
-			fatal("%s: missing name", where)
+			return "", fmt.Errorf("%s: missing name", where)
 		}
 		if e.Ts == nil || e.Pid == nil || e.Tid == nil {
-			fatal("%s: missing ts/pid/tid", where)
+			return "", fmt.Errorf("%s: missing ts/pid/tid", where)
 		}
 		if *e.Ts < 0 {
-			fatal("%s: negative ts %v", where, *e.Ts)
+			return "", fmt.Errorf("%s: negative ts %v", where, *e.Ts)
 		}
 		switch e.Ph {
 		case "X":
 			if e.Dur == nil || *e.Dur < 0 {
-				fatal("%s: complete event without non-negative dur", where)
+				return "", fmt.Errorf("%s: complete event without non-negative dur", where)
 			}
 			spanPids[*e.Pid]++
 			l := lane{*e.Pid, *e.Tid}
@@ -132,11 +143,11 @@ func main() {
 			if need != nil {
 				var args map[string]any
 				if err := json.Unmarshal(e.Args, &args); err != nil {
-					fatal("%s: %s instant without decodable args", where, e.Name)
+					return "", fmt.Errorf("%s: %s instant without decodable args", where, e.Name)
 				}
 				for _, key := range need {
 					if _, ok := args[key].(float64); !ok {
-						fatal("%s: %s instant without numeric args.%s", where, e.Name, key)
+						return "", fmt.Errorf("%s: %s instant without numeric args.%s", where, e.Name, key)
 					}
 				}
 			}
@@ -145,10 +156,10 @@ func main() {
 				Name string `json:"name"`
 			}
 			if err := json.Unmarshal(e.Args, &args); err != nil || args.Name == "" {
-				fatal("%s: metadata event without args.name", where)
+				return "", fmt.Errorf("%s: metadata event without args.name", where)
 			}
 		default:
-			fatal("%s: unexpected phase %q (exporter emits X, i, M only)", where, e.Ph)
+			return "", fmt.Errorf("%s: unexpected phase %q (exporter emits X, i, M only)", where, e.Ph)
 		}
 		seen[e.Name]++
 	}
@@ -157,28 +168,28 @@ func main() {
 		sort.Slice(ss, func(i, j int) bool { return ss[i][0] < ss[j][0] })
 		for i := 1; i < len(ss); i++ {
 			if ss[i][0] < ss[i-1][1] {
-				fatal("%s: overlapping spans on lane pid=%v tid=%v: [%v,%v) and [%v,%v)",
+				return "", fmt.Errorf("%s: overlapping spans on lane pid=%v tid=%v: [%v,%v) and [%v,%v)",
 					path, l.pid, l.tid, ss[i-1][0], ss[i-1][1], ss[i][0], ss[i][1])
 			}
 		}
 	}
 
-	if *spans {
+	if spans {
 		for _, pid := range []float64{0, 1} {
 			if spanPids[pid] == 0 {
 				group := "processor"
 				if pid == 1 {
 					group = "task"
 				}
-				fatal("%s: no X spans in the %s group (pid %v)", path, group, pid)
+				return "", fmt.Errorf("%s: no X spans in the %s group (pid %v)", path, group, pid)
 			}
 		}
 	}
-	if *require != "" {
-		for _, name := range strings.Split(*require, ",") {
+	if require != "" {
+		for _, name := range strings.Split(require, ",") {
 			name = strings.TrimSpace(name)
 			if name != "" && seen[name] == 0 {
-				fatal("%s: required event %q never appears", path, name)
+				return "", fmt.Errorf("%s: required event %q never appears", path, name)
 			}
 		}
 	}
@@ -188,11 +199,12 @@ func main() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Printf("%s: %d events OK;", path, len(file.TraceEvents))
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s: %d events OK;", path, len(file.TraceEvents))
 	for _, n := range names {
-		fmt.Printf(" %s=%d", n, seen[n])
+		fmt.Fprintf(&sb, " %s=%d", n, seen[n])
 	}
-	fmt.Println()
+	return sb.String(), nil
 }
 
 func fatal(format string, args ...any) {

@@ -6,23 +6,29 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/engine"
 	"pfair/internal/rational"
+	"pfair/internal/task"
 )
 
-// This file implements engine.Dynamic for the EDF simulator: mid-run
-// join, leave, and reweight through the unified admission plane.
+// This file implements engine.Dynamic for the simulator under either job
+// order: mid-run join, leave, and reweight through the unified admission
+// plane.
 //
 // The simulator is event-driven, so every instant between engine steps
 // is a scheduling boundary; transactions apply immediately at the
 // current engine instant rather than waiting for a Pfair-style safe
 // slot. The semantics are:
 //
-//   - Join: feasibility-checked against the exact uniprocessor EDF
-//     condition Σ bandwidth ≤ 1 over the live set (a served task demands
-//     its server's bandwidth Q/P, an unserved one its weight e/p), then
-//     admitted with a synchronous first release at the current instant.
-//     The legacy Add entry point remains unchecked — the overload
-//     experiments depend on admitting infeasible sets — so the bound
-//     gates only plane-submitted joins.
+//   - Join: feasibility-checked against the gate the constructor chose,
+//     then admitted with a synchronous first release at the current
+//     instant. Under EDF the gate is the exact uniprocessor condition
+//     Σ bandwidth ≤ 1 over the live set (a served task demands its
+//     server's bandwidth Q/P, an unserved one its weight e/p). Under RM
+//     it is the hyperbolic bound Π(uᵢ+1) ≤ 2 — sufficient from any
+//     release phasing (the critical-instant argument), so a mid-run join
+//     it admits meets all deadlines — and join models are refused: CBS
+//     is an EDF construct. The legacy Add entry point remains unchecked
+//     — the overload experiments depend on admitting infeasible sets —
+//     so the bound gates only plane-submitted joins.
 //   - Leave: immediate. The task's release timer is disarmed and its
 //     in-flight jobs — running, ready, and server backlog — are
 //     cancelled and excluded from miss accounting: a voluntary departure
@@ -48,17 +54,26 @@ func bandwidth(cfg Config) rational.Rat {
 	return cfg.Task.Weight()
 }
 
-// liveBandwidth returns the exact bandwidth sum of the live task set,
-// excluding the named task (empty string excludes nothing).
-func (s *Simulator) liveBandwidth(except string) *rational.Acc {
+// admits applies the constructor's join gate to cfg joining the live
+// set minus the named task (empty string excludes nothing): Σ bandwidth
+// ≤ 1 under EDF, the hyperbolic bound under RM.
+func (s *Simulator) admits(cfg Config, except string) error {
+	if s.rm {
+		live := make(task.Set, 0, len(s.tasks))
+		for name, ts := range s.tasks { //pfair:orderinvariant feeds an order-independent exact product
+			if name != except {
+				live = append(live, ts.cfg.Task)
+			}
+		}
+		return admission.Hyperbolic(live, cfg.Task)
+	}
 	total := rational.NewAcc()
 	for name, ts := range s.tasks { //pfair:orderinvariant exact rational sum, order-independent
-		if name == except {
-			continue
+		if name != except {
+			total.Add(bandwidth(ts.cfg))
 		}
-		total.Add(bandwidth(ts.cfg))
 	}
-	return total
+	return admission.Utilization(total, bandwidth(cfg), rational.Zero(), 1)
 }
 
 // Submit implements engine.Dynamic: transactional join/leave/reweight
@@ -72,6 +87,10 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 	now := s.eng.Now()
 	switch req.Op {
 	case admission.OpJoin:
+		if s.rm && req.Model != nil {
+			return admission.Decision{}, s.plane.Reject(req.Op,
+				fmt.Errorf("edf: rate-monotonic join model %T is not supported", req.Model))
+		}
 		cfg := Config{Task: req.Task}
 		switch m := req.Model.(type) {
 		case nil:
@@ -90,7 +109,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 			return admission.Decision{}, s.plane.Reject(req.Op,
 				fmt.Errorf("edf: join model %T is not a CBS or Config", req.Model))
 		}
-		if err := admission.Utilization(s.liveBandwidth(""), bandwidth(cfg), rational.Zero(), 1); err != nil {
+		if err := s.admits(cfg, ""); err != nil {
 			return admission.Decision{}, s.plane.Reject(req.Op, err)
 		}
 		if err := s.Add(cfg); err != nil {
@@ -121,7 +140,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 		nt := *ts.cfg.Task
 		nt.Cost, nt.Period = req.NewCost, req.NewPeriod
 		cfg := Config{Task: &nt, ActualCost: ts.cfg.ActualCost, Server: ts.cfg.Server}
-		if err := admission.Utilization(s.liveBandwidth(req.Name), bandwidth(cfg), rational.Zero(), 1); err != nil {
+		if err := s.admits(cfg, req.Name); err != nil {
 			return admission.Decision{}, s.plane.Reject(req.Op, err)
 		}
 		s.remove(ts)

@@ -1,11 +1,17 @@
-// Package edf implements uniprocessor earliest-deadline-first scheduling:
+// Package edf implements the uniprocessor job simulator every
+// per-processor scheduler of the paper's partitioned baselines runs on:
 // an event-driven simulator with preemption and context-switch accounting,
 // the exact utilization-based schedulability test, and constant-bandwidth
 // servers (CBS) for temporal isolation.
 //
 // EDF is the per-processor scheduler of the paper's EDF-FF partitioning
-// baseline (Section 3). The simulator's ready queue is a binary heap, as in
-// the implementation whose per-invocation overhead Figure 2(a) measures.
+// baseline (Section 3); RM, the companion of RM-FF, is the same simulator
+// with a different job order. The constructor fixes that order and the
+// matching admission gate: NewSimulator ranks jobs by (deadline, name,
+// index) and admits joins under Σ bandwidth ≤ 1, NewRateMonotonic ranks
+// them by (period, name, index) and admits joins under the hyperbolic
+// bound. The simulator's ready queue is a binary heap, as in the
+// implementation whose per-invocation overhead Figure 2(a) measures.
 // The scheduler is invoked on job releases, completions, and server-budget
 // exhaustions; between events the running job executes undisturbed, so —
 // unlike the slot-based Pfair schedulers — invocation counts are
@@ -23,7 +29,9 @@ package edf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pfair/internal/admission"
@@ -118,7 +126,6 @@ type tstate struct {
 type job struct {
 	ts        *tstate
 	index     int64
-	release   int64
 	deadline  int64 // EDF priority: own deadline, or the server's
 	orig      int64 // the job's own deadline, for miss accounting
 	remaining int64
@@ -128,7 +135,8 @@ type job struct {
 	item *heap.Item[*job]
 }
 
-// Simulator is an event-driven uniprocessor EDF scheduler. Time units are
+// Simulator is an event-driven uniprocessor job scheduler: EDF from
+// NewSimulator, rate-monotonic from NewRateMonotonic. Time units are
 // abstract; the experiments use microseconds.
 //
 // The Simulator is an engine.Policy: the engine visits exactly the event
@@ -143,12 +151,18 @@ type Simulator struct {
 	tasks map[string]*tstate
 	order []*tstate // add order, for deterministic obs id assignment
 	ready *heap.Heap[*job]
+	// less is the job order the ready heap and dispatch share, and rm
+	// selects the rate-monotonic variant: period order, the hyperbolic
+	// join gate, no servers. Both are fixed by the constructor.
+	less func(a, b *job) bool
+	rm   bool
 	// Release timers live in the calendar wheel: Next finds the earliest
 	// armed release by bitmap probe and Release drains one bucket, so the
 	// timer path costs O(1) per event instead of O(log n) heap sifts.
 	// When a task's period exceeds calq.DefaultSpanCap (timers too sparse
 	// for a bounded wheel to beat a comparison structure), the simulator
 	// falls back — permanently, migrating armed timers — to the heap.
+	// This is the one place either job order selects its timers.
 	relWheel *calq.Wheel[*tstate]
 	relHeap  bool
 	releases *heap.Heap[*tstate]
@@ -162,11 +176,24 @@ type Simulator struct {
 	plane *admission.Plane
 }
 
-// NewSimulator returns an empty simulator at time 0. Engine options attach
-// observability at construction, equivalent to SetRecorder afterwards.
+// NewSimulator returns an empty EDF simulator at time 0. Engine options
+// attach observability at construction, equivalent to SetRecorder
+// afterwards.
 func NewSimulator(opts ...engine.Option) *Simulator {
-	s := &Simulator{tasks: make(map[string]*tstate)}
-	s.ready = heap.New(jobLess)
+	return newSimulator(deadlineLess, false, opts)
+}
+
+// NewRateMonotonic returns an empty preemptive rate-monotonic simulator
+// at time 0: jobs rank by (period, name, index), Submit admits joins
+// under the hyperbolic bound Π(uᵢ+1) ≤ 2, and CBS servers are refused,
+// since a server deadline means nothing to a fixed-priority order.
+func NewRateMonotonic(opts ...engine.Option) *Simulator {
+	return newSimulator(periodLess, true, opts)
+}
+
+func newSimulator(less func(a, b *job) bool, rm bool, opts []engine.Option) *Simulator {
+	s := &Simulator{tasks: make(map[string]*tstate), less: less, rm: rm}
+	s.ready = heap.New(less)
 	s.relWheel = calq.NewWheel[*tstate](1)
 	s.releases = heap.New(func(a, b *tstate) bool {
 		if a.nextRelease != b.nextRelease {
@@ -184,10 +211,27 @@ func NewSimulator(opts ...engine.Option) *Simulator {
 // Engine returns the engine this simulator runs on.
 func (s *Simulator) Engine() *engine.Engine { return s.eng }
 
+// deadlineLess is the EDF job order: deadline (the server's for a served
+// task), then name, then job index.
+//
 //pfair:hotpath
-func jobLess(a, b *job) bool {
+func deadlineLess(a, b *job) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
+	}
+	if a.ts.cfg.Task.Name != b.ts.cfg.Task.Name {
+		return a.ts.cfg.Task.Name < b.ts.cfg.Task.Name
+	}
+	return a.index < b.index
+}
+
+// periodLess is the rate-monotonic job order: period, then name, then
+// job index.
+//
+//pfair:hotpath
+func periodLess(a, b *job) bool {
+	if pa, pb := a.ts.cfg.Task.Period, b.ts.cfg.Task.Period; pa != pb {
+		return pa < pb
 	}
 	if a.ts.cfg.Task.Name != b.ts.cfg.Task.Name {
 		return a.ts.cfg.Task.Name < b.ts.cfg.Task.Name
@@ -251,6 +295,9 @@ func (s *Simulator) Add(cfg Config) error {
 	}
 	if srv := cfg.Server; srv != nil && (srv.Budget <= 0 || srv.Period < srv.Budget) {
 		return fmt.Errorf("edf: invalid CBS %+v for %s", *srv, cfg.Task.Name)
+	}
+	if cfg.Server != nil && s.rm {
+		return fmt.Errorf("edf: CBS for %s needs the EDF job order, not rate-monotonic", cfg.Task.Name)
 	}
 	ts := &tstate{cfg: cfg, obsID: -1, nextRelease: s.eng.Now(), nextJob: 1}
 	if cfg.Server != nil {
@@ -433,17 +480,15 @@ func (s *Simulator) advance(to int64) {
 // release timers. Wheel mode drains the single due bucket and sorts the
 // batch by name — reproducing the heap's (nextRelease, Name) pop order,
 // since every drained timer shares the instant s.now — so traces are
-// identical in either mode.
+// identical in either mode. The bucket comes back far from sorted, so
+// the sort is O(k log k): an insertion sort's k²/4 swaps dominated
+// synchronous releases of a thousand tasks.
 //
 //pfair:hotpath
 func (s *Simulator) releaseDue() {
 	if !s.relHeap {
 		due := s.relWheel.Due(s.now)
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && due[j].cfg.Task.Name < due[j-1].cfg.Task.Name; j-- {
-				due[j], due[j-1] = due[j-1], due[j]
-			}
-		}
+		slices.SortFunc(due, byName)
 		for _, ts := range due {
 			s.releaseOne(ts)
 		}
@@ -453,6 +498,13 @@ func (s *Simulator) releaseDue() {
 		s.releaseOne(s.releases.Pop())
 	}
 }
+
+// byName orders a release batch. Live names are unique (Add refuses a
+// duplicate), so the order is total and an unstable sort is
+// deterministic.
+//
+//pfair:hotpath
+func byName(a, b *tstate) int { return strings.Compare(a.cfg.Task.Name, b.cfg.Task.Name) }
 
 // releaseOne releases the job due from one task (its timer already
 // dequeued), re-arms the timer, and routes the job into the ready queue
@@ -471,7 +523,6 @@ func (s *Simulator) releaseOne(ts *tstate) {
 	j := &job{
 		ts:        ts,
 		index:     ts.nextJob,
-		release:   ts.nextRelease,
 		deadline:  orig,
 		orig:      orig,
 		remaining: cost,
@@ -551,7 +602,8 @@ func (s *Simulator) exhaustBudget() {
 }
 
 // dispatch is the scheduler invocation: ensure the processor runs the
-// earliest-deadline job among the running and ready ones.
+// first job, in the simulator's job order, among the running and ready
+// ones.
 //
 //pfair:hotpath
 func (s *Simulator) dispatch() {
@@ -570,7 +622,7 @@ func (s *Simulator) dispatch() {
 			if rec := s.rec; rec != nil {
 				rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvSchedule, Task: top.ts.obsID, Proc: 0, A: top.index})
 			}
-		case jobLess(top, s.running):
+		case s.less(top, s.running):
 			s.ready.Pop()
 			s.ready.PushItem(s.running.item)
 			s.stats.Preemptions++

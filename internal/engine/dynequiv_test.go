@@ -136,12 +136,18 @@ func TestDynEquivRM(t *testing.T) {
 	set := task.Set{task.MustNew("R1", 1, 4), task.MustNew("R2", 1, 5), task.MustNew("R3", 2, 9)}
 	const horizon = 360
 
-	legacy := rm.NewSimulator(set)
+	legacy, err := rm.NewSimulator(set)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
 	if err := legacy.Run(horizon); err != nil {
 		t.Fatalf("legacy run: %v", err)
 	}
 
-	plane := rm.NewSimulator(nil)
+	plane, err := rm.NewSimulator(nil)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
 	for _, tk := range set {
 		if _, err := plane.Submit(admission.Join(tk)); err != nil {
 			t.Fatalf("join %v: %v", tk, err)

@@ -165,7 +165,11 @@ func dumpRM(set task.Set, horizon int64) string {
 	var d dump
 	resp, ok := rm.ResponseTimes(set)
 	d.f("responses=%v exact=%v ll=%v hyperbolic=%v", resp, ok, rm.SchedulableLL(set), rm.SchedulableHyperbolic(set))
-	s := rm.NewSimulator(set)
+	s, err := rm.NewSimulator(set)
+	if err != nil {
+		d.f("new: %v", err)
+		return d.sb.String()
+	}
 	s.Run(horizon)
 	st := s.Stats()
 	d.f("jobs=%d completed=%d preemptions=%d ctxsw=%d misses=%d",

@@ -178,7 +178,11 @@ func checkEDF(c Case) Outcome {
 func checkRM(c Case) Outcome {
 	var v violations
 	_, exact := rm.ResponseTimes(c.Set)
-	sim := rm.NewSimulator(c.Set)
+	sim, err := rm.NewSimulator(c.Set)
+	if err != nil {
+		v.addf("rm: %v", err)
+		return Outcome{Violations: v.list}
+	}
 	sim.Run(c.Horizon)
 	misses := sim.Stats().Misses
 	if exact && len(misses) > 0 {

@@ -298,7 +298,11 @@ func checkEDFDynPlane(c Case, v *violations) {
 // so mid-run joins with synchronous first releases, and leaves that only
 // remove interference, may never cost an admitted task a deadline.
 func checkRMDynPlane(c Case, v *violations) {
-	sim := rm.NewSimulator(nil)
+	sim, err := rm.NewSimulator(nil)
+	if err != nil {
+		v.addf("dynplane/rm: %v", err)
+		return
+	}
 	ok := runScriptPlane(c, "rm", v,
 		func(slot int64) error { return sim.Engine().Run(slot) },
 		func(req admission.Request) error { _, err := sim.Submit(req); return err },

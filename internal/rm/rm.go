@@ -1,7 +1,8 @@
 // Package rm implements uniprocessor rate-monotonic (RM) fixed-priority
 // scheduling: the Liu–Layland and hyperbolic utilization bounds, the exact
 // response-time (time-demand) schedulability test of Lehoczky, Sha, and
-// Ding [25], and a preemptive fixed-priority simulator.
+// Ding [25], and a constructor for the preemptive fixed-priority
+// simulator, which is the EDF package's job simulator under RM order.
 //
 // The paper discusses RM as the other popular partitioning companion
 // (RM-FF, Section 3) and notes its drawbacks: the guaranteed multiprocessor
@@ -15,10 +16,8 @@ import (
 	"math"
 	"sort"
 
-	"pfair/internal/admission"
-	"pfair/internal/calq"
+	"pfair/internal/edf"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -112,315 +111,19 @@ func Schedulable(set task.Set) bool {
 	return ok
 }
 
-// Miss records a job finishing after its deadline in the simulator.
-type Miss struct {
-	Task     string
-	Job      int64
-	Deadline int64
-	// FinishedAt is the completion time, or −1 if unfinished at the
-	// horizon.
-	FinishedAt int64
-}
-
-// Stats aggregates simulator counters.
-type Stats struct {
-	Jobs            int64
-	Completed       int64
-	Preemptions     int64
-	ContextSwitches int64
-	Misses          []Miss
-}
-
-type tstate struct {
-	t           *task.Task
-	nextRelease int64
-	nextJob     int64
-	// relItem and relWItem are the task's persistent handles in the
-	// release structures — the fallback heap and the calendar wheel — so
-	// re-arming the release timer never allocates whichever is in use.
-	relItem  *heap.Item[*tstate]
-	relWItem *calq.Item[*tstate]
-}
-
-type job struct {
-	ts        *tstate
-	index     int64
-	deadline  int64
-	remaining int64
-	missed    bool
-	// item is the job's heap handle, allocated once at release so
-	// re-queueing on preemption never allocates.
-	item *heap.Item[*job]
-}
-
-// Simulator is an event-driven preemptive fixed-priority (RM) simulator
-// with synchronous first releases, used to cross-validate the analytical
-// tests (the critical-instant theorem makes the synchronous pattern the
-// worst case).
-//
-// The Simulator is an engine.Policy: the engine visits exactly the event
-// instants (releases and completions) that Next computes.
-type Simulator struct {
-	eng   *engine.Engine
-	now   int64 // internal execution clock; trails the engine inside Run
-	tasks map[string]*tstate
-	ready *heap.Heap[*job]
-	// Release timers live in the calendar wheel unless some period
-	// exceeds calq.DefaultSpanCap (timers too sparse for a bounded wheel),
-	// in which case the constructor picks the comparison heap instead —
-	// the task set is fixed up front, so the choice is made once.
-	relWheel *calq.Wheel[*tstate]
-	relHeap  bool
-	releases *heap.Heap[*tstate]
-	running  *job
-	stats    Stats
-	// plane is the admission-plane ledger behind Submit. RM has no trace
-	// integration, so the plane carries decisions and metrics only.
-	plane *admission.Plane
-}
-
-// NewSimulator returns an empty simulator at time 0.
-func NewSimulator(set task.Set, opts ...engine.Option) *Simulator {
-	s := &Simulator{tasks: make(map[string]*tstate, len(set))}
-	s.ready = heap.New(func(a, b *job) bool {
-		if a.ts.t.Period != b.ts.t.Period {
-			return a.ts.t.Period < b.ts.t.Period
-		}
-		if a.ts.t.Name != b.ts.t.Name {
-			return a.ts.t.Name < b.ts.t.Name
-		}
-		return a.index < b.index
-	})
-	s.releases = heap.New(func(a, b *tstate) bool {
-		if a.nextRelease != b.nextRelease {
-			return a.nextRelease < b.nextRelease
-		}
-		return a.t.Name < b.t.Name
-	})
-	var maxPeriod int64
+// NewSimulator returns a preemptive rate-monotonic simulator at time 0
+// with set admitted, each task's first job released at 0 — the critical
+// instant, which makes the run the worst case the exact test analyses.
+// It is the EDF package's uniprocessor job simulator under the RM job
+// order (period, name, index), with Submit gated by the hyperbolic
+// bound; see edf.NewRateMonotonic. Set is admitted through Add, so an
+// invalid task or a duplicate name is an error.
+func NewSimulator(set task.Set, opts ...engine.Option) (*edf.Simulator, error) {
+	s := edf.NewRateMonotonic(opts...)
 	for _, t := range set {
-		if t.Period > maxPeriod {
-			maxPeriod = t.Period
+		if err := s.Add(edf.Config{Task: t}); err != nil {
+			return nil, err
 		}
 	}
-	s.relHeap = maxPeriod > calq.DefaultSpanCap
-	if !s.relHeap {
-		s.relWheel = calq.NewWheel[*tstate](maxPeriod)
-		s.relWheel.Reserve(len(set))
-	}
-	for _, t := range set {
-		ts := &tstate{t: t, nextJob: 1}
-		ts.relItem = heap.NewItem(ts)
-		ts.relWItem = calq.NewItem(ts)
-		s.tasks[t.Name] = ts
-		s.armRelease(ts)
-	}
-	s.plane = admission.NewPlane()
-	s.eng = engine.New(s, opts...)
-	s.plane.Observe(nil, s.eng.Metrics())
-	return s
-}
-
-// armRelease queues the task's next release in whichever timer structure
-// the constructor selected.
-//
-//pfair:hotpath
-func (s *Simulator) armRelease(ts *tstate) {
-	if s.relHeap {
-		s.releases.PushItem(ts.relItem)
-	} else {
-		s.relWheel.Add(ts.relWItem, ts.nextRelease)
-	}
-}
-
-// Engine returns the engine this simulator runs on.
-func (s *Simulator) Engine() *engine.Engine { return s.eng }
-
-// Stats returns the counters accumulated so far.
-func (s *Simulator) Stats() Stats { return s.stats }
-
-// Run advances the simulation to the horizon. A non-nil error
-// (*engine.LivelockError) means the policy stopped advancing time; the
-// horizon accounting is skipped because the run never reached it.
-func (s *Simulator) Run(horizon int64) error {
-	if err := s.eng.Run(horizon); err != nil {
-		return err
-	}
-	s.atHorizon(horizon)
-	// Account jobs cut off by the horizon.
-	record := func(j *job) {
-		if j != nil && !j.missed && j.deadline <= horizon {
-			j.missed = true
-			s.stats.Misses = append(s.stats.Misses, Miss{Task: j.ts.t.Name, Job: j.index, Deadline: j.deadline, FinishedAt: -1})
-		}
-	}
-	record(s.running)
-	for _, it := range s.ready.Items() {
-		record(it.Value)
-	}
-	return nil
-}
-
-// pendingEvent returns the running job's completion time, or MaxInt64
-// when the processor is idle.
-//
-//pfair:hotpath
-func (s *Simulator) pendingEvent() int64 {
-	if s.running != nil {
-		return s.now + s.running.remaining
-	}
-	return math.MaxInt64
-}
-
-// advance executes the running job up to t.
-//
-//pfair:hotpath
-func (s *Simulator) advance(t int64) {
-	if s.running != nil {
-		s.running.remaining -= t - s.now
-	}
-	s.now = t
-}
-
-// complete retires the running job, recording a miss if it finished late.
-//
-//pfair:hotpath
-func (s *Simulator) complete() {
-	j := s.running
-	s.running = nil
-	s.stats.Completed++
-	if s.now > j.deadline && !j.missed {
-		j.missed = true
-		s.stats.Misses = append(s.stats.Misses, Miss{Task: j.ts.t.Name, Job: j.index, Deadline: j.deadline, FinishedAt: s.now})
-	}
-}
-
-// Release is the engine release phase at event instant t: execute the
-// running job up to t, retire a completion landing exactly at t, then
-// release every job due.
-//
-//pfair:hotpath
-func (s *Simulator) Release(t int64) {
-	event := s.pendingEvent()
-	s.advance(t)
-	if event == t {
-		s.complete()
-	}
-	s.releaseDue()
-}
-
-// releaseDue releases every job whose time has come and re-arms the
-// timers. Wheel mode drains the single due bucket and sorts the batch by
-// name, matching the heap's (nextRelease, Name) pop order — every
-// drained timer shares the instant s.now.
-//
-//pfair:hotpath
-func (s *Simulator) releaseDue() {
-	if !s.relHeap {
-		due := s.relWheel.Due(s.now)
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && due[j].t.Name < due[j-1].t.Name; j-- {
-				due[j], due[j-1] = due[j-1], due[j]
-			}
-		}
-		for _, ts := range due {
-			s.releaseOne(ts)
-		}
-		return
-	}
-	for s.releases.Len() > 0 && s.releases.Peek().nextRelease <= s.now {
-		s.releaseOne(s.releases.Pop())
-	}
-}
-
-// releaseOne releases one task's due job (its timer already dequeued)
-// and re-arms the timer.
-//
-//pfair:allowalloc releasing a job allocates the job record and its heap handle, one pair per period, off the per-slot path
-func (s *Simulator) releaseOne(ts *tstate) {
-	j := &job{
-		ts:        ts,
-		index:     ts.nextJob,
-		deadline:  ts.nextRelease + ts.t.Period,
-		remaining: ts.t.Cost,
-	}
-	j.item = heap.NewItem(j)
-	s.ready.PushItem(j.item)
-	s.stats.Jobs++
-	ts.nextJob++
-	ts.nextRelease += ts.t.Period
-	s.armRelease(ts)
-}
-
-// Pick implements engine.Policy; the ready heap is already
-// priority-ordered, so selection happens in Dispatch's peek.
-//
-//pfair:hotpath
-func (s *Simulator) Pick(t int64) {}
-
-// Dispatch implements engine.Policy: one scheduler invocation.
-//
-//pfair:hotpath
-func (s *Simulator) Dispatch(t int64) { s.dispatch() }
-
-// Account implements engine.Policy; RM accounting happens in the event
-// handlers.
-//
-//pfair:hotpath
-func (s *Simulator) Account(t int64) {}
-
-// Next returns the next event instant: the earliest pending release or
-// the running job's completion.
-//
-//pfair:hotpath
-func (s *Simulator) Next(t int64) int64 {
-	nextRel := int64(math.MaxInt64)
-	if !s.relHeap {
-		if nr, ok := s.relWheel.NextOccupied(s.now); ok {
-			nextRel = nr
-		}
-	} else if s.releases.Len() > 0 {
-		nextRel = s.releases.Peek().nextRelease
-	}
-	if event := s.pendingEvent(); event < nextRel {
-		return event
-	}
-	return nextRel
-}
-
-// atHorizon closes out a Run: the running job executes up to the horizon,
-// and a completion landing exactly on it is still processed (followed by
-// one dispatch) — but releases at the horizon fall outside the simulated
-// window [0, horizon).
-func (s *Simulator) atHorizon(horizon int64) {
-	if s.now >= horizon {
-		return
-	}
-	event := s.pendingEvent()
-	s.advance(horizon)
-	if event == horizon {
-		s.complete()
-		s.dispatch()
-	}
-}
-
-//pfair:hotpath
-func (s *Simulator) dispatch() {
-	if s.ready.Len() == 0 {
-		return
-	}
-	top := s.ready.Peek()
-	switch {
-	case s.running == nil:
-		s.ready.Pop()
-		s.running = top
-		s.stats.ContextSwitches++
-	case top.ts.t.Period < s.running.ts.t.Period ||
-		(top.ts.t.Period == s.running.ts.t.Period && top.ts.t.Name < s.running.ts.t.Name):
-		s.ready.Pop()
-		s.ready.PushItem(s.running.item)
-		s.stats.Preemptions++
-		s.stats.ContextSwitches++
-		s.running = top
-	}
+	return s, nil
 }

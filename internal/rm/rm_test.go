@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"pfair/internal/admission"
+	"pfair/internal/edf"
+	"pfair/internal/engine"
+	"pfair/internal/obs"
 	"pfair/internal/task"
 )
 
@@ -84,10 +89,19 @@ func TestHarmonicFullUtilization(t *testing.T) {
 	}
 }
 
+func mustSim(t *testing.T, set task.Set) *edf.Simulator {
+	t.Helper()
+	s, err := NewSimulator(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestSimulatorMatchesSingleTask sanity-checks the simulator.
 func TestSimulatorMatchesSingleTask(t *testing.T) {
 	set := task.Set{task.MustNew("T", 2, 5)}
-	s := NewSimulator(set)
+	s := mustSim(t, set)
 	s.Run(50)
 	st := s.Stats()
 	if st.Jobs != 10 || st.Completed != 10 || len(st.Misses) != 0 {
@@ -111,7 +125,7 @@ func TestQuickExactTestMatchesSimulation(t *testing.T) {
 			return true // hopeless overloads make hyperperiod runs slow
 		}
 		analytic := Schedulable(set)
-		s := NewSimulator(set)
+		s := mustSim(t, set)
 		h := set.Hyperperiod()
 		if h > 100000 {
 			return true
@@ -176,12 +190,72 @@ func TestQuickPreemptionsBounded(t *testing.T) {
 		if len(set) == 0 {
 			return true
 		}
-		s := NewSimulator(set)
+		s := mustSim(t, set)
 		s.Run(4000)
 		st := s.Stats()
 		return st.Preemptions <= st.Jobs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDuplicateNamesRejected: a set naming one task twice is an error.
+// The fixed-priority simulator once accepted it, letting the second task
+// overwrite the first by name while both release timers stayed armed, so
+// jobs kept coming after the only name had left.
+func TestDuplicateNamesRejected(t *testing.T) {
+	if _, err := NewSimulator(task.Set{task.MustNew("A", 1, 4), task.MustNew("A", 1, 4)}); err == nil {
+		t.Fatal("duplicate task name accepted")
+	}
+	s := mustSim(t, task.Set{task.MustNew("A", 1, 4)})
+	if err := s.Engine().Run(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(admission.Leave("A")); err != nil {
+		t.Fatal(err)
+	}
+	jobs := s.Stats().Jobs
+	if err := s.Run(40); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Jobs; got != jobs {
+		t.Errorf("jobs went from %d to %d with no live task", jobs, got)
+	}
+}
+
+// TestRecorderDoesNotPerturb: on the rm-feasible golden set, attaching a
+// recorder leaves Stats identical, and the trace mirrors them — one
+// release per job, one schedule per context switch, one preempt per
+// preemption.
+func TestRecorderDoesNotPerturb(t *testing.T) {
+	set := task.Set{task.MustNew("A", 1, 4), task.MustNew("B", 1, 5), task.MustNew("C", 2, 10)}
+	const horizon = 200
+	plain := mustSim(t, set)
+	if err := plain.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(1 << 12)
+	s, err := NewSimulator(set, engine.WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if !reflect.DeepEqual(plain.Stats(), st) {
+		t.Fatalf("recorder changed the run: %+v vs %+v", plain.Stats(), st)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring too small: dropped %d", rec.Dropped())
+	}
+	counts := make(map[obs.EventKind]int64)
+	for _, e := range rec.Events() {
+		counts[e.Kind]++
+	}
+	if counts[obs.EvRelease] != st.Jobs || counts[obs.EvSchedule] != st.ContextSwitches ||
+		counts[obs.EvPreempt] != st.Preemptions || counts[obs.EvJoin] != int64(len(set)) {
+		t.Errorf("trace %v does not mirror stats %+v", counts, st)
 	}
 }

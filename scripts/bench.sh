@@ -2,7 +2,9 @@
 # bench.sh — run a scheduler benchmark set and emit a machine-readable
 # JSON baseline, so CI (or a reviewer) can diff performance across
 # commits. The default set is the hot-path benchmarks plus the Figure 3
-# EDF-FF analysis rows (BENCH_core.json);
+# EDF-FF analysis rows (BENCH_core.json), and the uniprocessor
+# job-simulator rows (BenchmarkUniprocTimers) at the fixed 20x count
+# scripts/bench_guard.sh reruns them with — each op is a whole run;
 # pass a different output and pattern for other sets, e.g. the scale run:
 #
 #	scripts/bench.sh BENCH_scale.json 'BenchmarkScale' 500x 3
@@ -41,7 +43,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_core.json}"
-pattern="${2:-BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows|BenchmarkFig3EDFFF}"
+pattern="${2:-}"
 benchtime="${3:-0.2s}"
 count="${4:-1}"
 traj="${out%.json}.trajectory.json"
@@ -66,8 +68,15 @@ goversion="$(go env GOVERSION)"
 # GOMAXPROCS defaults to the online CPU count unless the env overrides it.
 maxprocs="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}"
 
-go test -run '^$' -bench "$pattern" \
-	-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+if [ -n "$pattern" ]; then
+	go test -run '^$' -bench "$pattern" \
+		-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+else
+	go test -run '^$' -bench 'BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows|BenchmarkFig3EDFFF' \
+		-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+	go test -run '^$' -bench 'BenchmarkUniprocTimers' \
+		-benchmem -benchtime=20x -count="$count" . | tee -a "$raw"
+fi
 
 # benchcollect is shared awk source: parse one `BenchmarkX ...` line and
 # fold it into the per-name aggregate, keeping the conservative repeat

@@ -31,10 +31,12 @@
 #
 #	BENCH_GUARD_THRESHOLD=100 scripts/bench_guard.sh BENCH_scale.json 'BenchmarkScale' 500x 4
 #
-# The default set (no bench-regex given) is two groups with their own
-# fixed iteration counts: the ~100 ns slot benchmarks at 100000x, and the
+# The default set (no bench-regex given) is three groups with their own
+# fixed iteration counts: the ~100 ns slot benchmarks at 100000x, the
 # Figure 3 EDF-FF analysis rows, whose N=500 sub-benchmark takes
-# milliseconds per op, at 200x.
+# milliseconds per op, at 200x, and the uniprocessor job-simulator rows
+# (BenchmarkUniprocTimers: EDF and RM order, wheel and heap release
+# timers), each op a whole run of ~10–20 ms, at 20x.
 #
 # Every baseline row must match a benchmark in the run: a row that
 # matched none (a renamed or deleted benchmark, a regex that no longer
@@ -68,6 +70,8 @@ else
 		-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
 	go test -run '^$' -bench 'BenchmarkFig3EDFFF' \
 		-benchmem -benchtime=200x -count="$count" . | tee -a "$raw"
+	go test -run '^$' -bench 'BenchmarkUniprocTimers' \
+		-benchmem -benchtime=20x -count="$count" . | tee -a "$raw"
 fi
 
 awk -v thresh="$thresh" '
