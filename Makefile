@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short smoke taskstats engine-equiv dyn-equiv check
+.PHONY: build vet lint test race bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short fuzz-calq smoke taskstats engine-equiv dyn-equiv check
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ fuzz:
 fuzz-short:
 	$(GO) run ./cmd/fuzz -n 25 -seed 1
 
+# fuzz-calq runs Go's native fuzzer on the calendar wheel and the
+# bucketed min-queue (internal/calq), checking random operation
+# sequences against a slice-based reference.
+fuzz-calq:
+	$(GO) test -run='^$$' -fuzz=FuzzCalq -fuzztime=15s ./internal/calq
+
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets validated by tracecheck
 # and explained by pfairtrace, live decision-level tie-break counters
@@ -97,4 +103,4 @@ engine-equiv:
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 
-check: build vet lint test race fuzz-short smoke engine-equiv dyn-equiv bench-guard bench-guard-scale bench
+check: build vet lint test race fuzz-short fuzz-calq smoke engine-equiv dyn-equiv bench-guard bench-guard-scale bench

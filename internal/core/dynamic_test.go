@@ -396,3 +396,39 @@ func TestLeaveUnknownTask(t *testing.T) {
 		t.Error("Lag of unknown task succeeded")
 	}
 }
+
+// TestChurnWheelBounded: the pending wheel's chunk pool and drain
+// scratch are sized by the live task count, not by every task ever
+// admitted. 10 000 join/leave pairs in waves of at most 64 live tasks
+// must leave both bounded by that high-water mark.
+func TestChurnWheelBounded(t *testing.T) {
+	const pairs, wave = 10_000, 64
+	s := NewScheduler(1, PD2, Options{})
+	hw := 0
+	for joined := 0; joined < pairs; {
+		var names []string
+		for len(s.tasks) < wave && joined < pairs {
+			name := fmt.Sprintf("T%d", joined)
+			if err := s.Join(task.MustNew(name, 1, 128)); err != nil {
+				t.Fatalf("join %s: %v", name, err)
+			}
+			names = append(names, name)
+			joined++
+		}
+		hw = max(hw, len(s.tasks))
+		s.Step()
+		for _, name := range names {
+			if _, err := s.Leave(name); err != nil {
+				t.Fatalf("leave %s: %v", name, err)
+			}
+		}
+		for len(s.tasks) > 0 {
+			s.Step()
+		}
+	}
+	chunks, scratch := s.pending.Footprint()
+	if chunks > 3*hw || scratch > 2*hw {
+		t.Fatalf("after %d join/leave pairs with ≤ %d live: wheel holds %d chunks and %d scratch slots, want ≤ %d and ≤ %d",
+			pairs, hw, chunks, scratch, 3*hw, 2*hw)
+	}
+}

@@ -409,9 +409,10 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 	}
 	s.tasks[t.Name] = st
 	s.order = append(s.order, st)
-	// Each task owns at most one pending-wheel entry, so the task count
-	// bounds any Due batch; reserving here keeps Release allocation-free.
-	s.pending.Reserve(len(s.order))
+	// Each live task owns at most one pending-wheel entry, so the live
+	// task count bounds the wheel; reserving here keeps Release
+	// allocation-free without growing with departed tasks.
+	s.pending.Reserve(len(s.tasks))
 	s.registerObs(st)
 	s.refreshSubtask(st)
 	s.enqueue(st)
@@ -552,13 +553,17 @@ func (s *Scheduler) Step() []Assignment {
 // eligibility has arrived from the pending wheel to the ready queue. The
 // wheel drain touches only slot t's bucket. When a recorder is attached,
 // the drained batch is first sorted by (eligibility, id) so EvRelease
-// events come out in a canonical order. The bucket comes back in reverse
-// insertion order, far from sorted, so the sort must be O(k log k): an
-// insertion sort's k²/4 swaps dominated a traced release storm. Without
-// a recorder the sort is skipped: the ready queue pops the exact
-// priority-minimum sequence under the total order regardless of
-// insertion order, so the batch's order is unobservable — and the sort
-// was a measurable share of the unobserved Fig2b hot path.
+// events come out in a canonical order. The bucket comes back in the
+// order it was queued — dispatch order, far from id order — so the sort
+// must be O(k log k): an insertion sort's k²/4 swaps dominated a traced
+// release storm. Without a recorder the sort is skipped: the ready queue
+// pops the exact priority-minimum sequence under the total order
+// regardless of insertion order, so the batch's order is unobservable —
+// and the sort was a measurable share of the unobserved Fig2b hot path.
+// The queue order also keeps an unobserved storm cheap: subtasks come
+// back in the order earlier slots popped them, so long runs arrive
+// sorted, and the ready queue chains a sorted run instead of leaving it
+// for the next pop to consolidate (calq.MinQueue).
 //
 //pfair:hotpath
 func (s *Scheduler) Release(t int64) {

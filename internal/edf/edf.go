@@ -321,7 +321,7 @@ func (s *Simulator) Add(cfg Config) error {
 			}
 		} else {
 			s.relWheel.EnsureSpan(cfg.Task.Period)
-			s.relWheel.Reserve(len(s.order))
+			s.relWheel.Reserve(len(s.tasks))
 		}
 	}
 	s.armRelease(ts)

@@ -1,9 +1,11 @@
 package edf
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/task"
 )
 
@@ -43,5 +45,44 @@ func TestRunAllocsPerJob(t *testing.T) {
 	}
 	if n := len(s.stats.Misses); n != 0 {
 		t.Fatalf("schedulable set missed %d deadlines", n)
+	}
+}
+
+// TestChurnWheelBounded: the release wheel's chunk pool and drain
+// scratch are sized by the live task count, not by every task ever
+// added. 10 000 join/leave pairs in waves of at most 64 live tasks must
+// leave both bounded by that high-water mark.
+func TestChurnWheelBounded(t *testing.T) {
+	const pairs, wave = 10_000, 64
+	for _, o := range jobOrders {
+		t.Run(o.name, func(t *testing.T) {
+			s := o.new()
+			hw := 0
+			for joined := 0; joined < pairs; {
+				var names []string
+				for len(s.tasks) < wave && joined < pairs {
+					name := fmt.Sprintf("T%d", joined)
+					if _, err := s.Submit(admission.Join(task.MustNew(name, 1, 128))); err != nil {
+						t.Fatalf("join %s: %v", name, err)
+					}
+					names = append(names, name)
+					joined++
+				}
+				hw = max(hw, len(s.tasks))
+				if err := s.Engine().Run(s.Now() + 200); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if _, err := s.Submit(admission.Leave(name)); err != nil {
+						t.Fatalf("leave %s: %v", name, err)
+					}
+				}
+			}
+			chunks, scratch := s.relWheel.Footprint()
+			if chunks > 3*hw || scratch > 2*hw {
+				t.Fatalf("after %d join/leave pairs with ≤ %d live: wheel holds %d chunks and %d scratch slots, want ≤ %d and ≤ %d",
+					pairs, hw, chunks, scratch, 3*hw, 2*hw)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@
 #
 # The file is an object: a "meta" block stamping the provenance of the
 # numbers (git commit, Go version, GOMAXPROCS) followed by a "benchmarks"
-# array with name, ns/op, and allocs/op per benchmark — plus slots/s for
-# benchmarks that report that throughput metric. Apart from the measured
+# array with name, ns/op, and allocs/op per benchmark — plus slots/s and
+# first-slot-ms for benchmarks that report those metrics. Apart from the measured
 # timings and the stamp itself the output is byte-stable: same
 # benchmarks, same order, same formatting on every run.
 #
@@ -80,35 +80,39 @@ fi
 
 # benchcollect is shared awk source: parse one `BenchmarkX ...` line and
 # fold it into the per-name aggregate, keeping the conservative repeat
-# (max ns/op, max allocs/op, min slots/s — with count=1 this is the
-# identity). Values stay the strings go printed so formatting survives.
+# (max ns/op, max allocs/op, min slots/s, max first-slot-ms — with
+# count=1 this is the identity). Values stay the strings go printed so formatting survives.
 benchcollect='
 	name = $1
 	sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix: names are machine-independent
-	nsop = ""; allocs = ""; slots = ""
+	nsop = ""; allocs = ""; slots = ""; first = ""
 	for (i = 2; i <= NF; i++) {
-		if ($(i) == "ns/op")     nsop   = $(i - 1)
-		if ($(i) == "allocs/op") allocs = $(i - 1)
-		if ($(i) == "slots/s")   slots  = $(i - 1)
+		if ($(i) == "ns/op")         nsop   = $(i - 1)
+		if ($(i) == "allocs/op")     allocs = $(i - 1)
+		if ($(i) == "slots/s")       slots  = $(i - 1)
+		if ($(i) == "first-slot-ms") first  = $(i - 1)
 	}
 	if (nsop == "") next
 	if (!(name in max_ns)) {
 		order[++nnames] = name
-		max_ns[name] = nsop; max_al[name] = allocs; min_sl[name] = slots
+		max_ns[name] = nsop; max_al[name] = allocs; min_sl[name] = slots; max_fs[name] = first
 	} else {
 		if (nsop + 0 > max_ns[name] + 0) max_ns[name] = nsop
 		if (allocs != "" && (max_al[name] == "" || allocs + 0 > max_al[name] + 0)) max_al[name] = allocs
 		if (slots != "" && (min_sl[name] == "" || slots + 0 < min_sl[name] + 0)) min_sl[name] = slots
+		if (first != "" && (max_fs[name] == "" || first + 0 > max_fs[name] + 0)) max_fs[name] = first
 	}
 '
 # benchjson emits the aggregate for order[k] as one JSON object.
 # Benchmarks that b.ReportMetric a slots/s throughput get a
-# slots_per_sec field; others omit it, keeping the core baseline format
-# unchanged.
+# slots_per_sec field, and those reporting the latency of an untimed
+# first slot a first_slot_ms field; others omit them, keeping the core
+# baseline format unchanged.
 benchjson='
 	name = order[k]
 	printf "{\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s", name, max_ns[name], (max_al[name] == "" ? "null" : max_al[name])
 	if (min_sl[name] != "") printf ", \"slots_per_sec\": %s", min_sl[name]
+	if (max_fs[name] != "") printf ", \"first_slot_ms\": %s", max_fs[name]
 	printf "}"
 '
 
